@@ -10,6 +10,11 @@ keys correct, attempted, failed and metrics. Progress, check results and
 the build log go to stderr. Exits nonzero when the build fails, a check
 fails or the workload errors.
 
+Every workload prints the same metrics, those BENCHMARK.json lists:
+with --trace 0 every end-to-end metric, which each workload must measure;
+with --trace 1 every per-layer metric, where a layer the workload does not
+exercise reads 0 (an idle layer).
+
 With --trace 0, the workloads whose set-up is a cold reduction
 (pg-reduce, serve-*) are also set up in SETUP_PROBES further fresh
 processes, and setup_s is the median over all of them: every sample is
@@ -52,6 +57,34 @@ def build(source: Path, build_dir: Path) -> Path:
     return binary
 
 
+def conform(metrics: dict, manifest: list[dict], idle_ok: bool) -> dict:
+    """Order `metrics` as `manifest` lists them, checking units.
+
+    A listed metric the workload did not report is an error, unless
+    `idle_ok` (per-layer metrics), when it reads 0 in its unit. A reported
+    metric the manifest does not list, or one without a numeric value, is
+    an error too.
+    """
+    listed = {m["name"] for m in manifest}
+    extra = sorted(set(metrics) - listed)
+    if extra:
+        raise ValueError(f"metrics not in BENCHMARK.json: {extra}")
+    out = {}
+    for m in manifest:
+        got = metrics.get(m["name"])
+        if got is None:
+            if not idle_ok:
+                raise ValueError(f"metric {m['name']} not measured")
+            got = {"value": 0.0, "unit": m["unit"]}
+        if got["unit"] != m["unit"]:
+            raise ValueError(f"metric {m['name']} in {got['unit']}, "
+                             f"BENCHMARK.json says {m['unit']}")
+        if not isinstance(got["value"], (int, float)):
+            raise ValueError(f"metric {m['name']} has no value")
+        out[m["name"]] = got
+    return out
+
+
 def run_binary(cmd: list[str], deadline: float) -> dict:
     """Run one perfbench process and parse its last stdout line."""
     timeout = max(1.0, deadline - time.monotonic())
@@ -75,6 +108,11 @@ def main() -> int:
     args = ap.parse_args()
 
     here = Path(__file__).resolve().parent
+    try:
+        manifest = json.loads((here.parent / "BENCHMARK.json").read_text())
+    except (OSError, ValueError) as e:
+        log(f"cannot read BENCHMARK.json: {e}")
+        return 1
     build_root = Path(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
     build_dir = build_root / "perfbench"
     try:
@@ -113,6 +151,10 @@ def main() -> int:
             log("cold set-up samples (s): " +
                 ", ".join(f"{s:.4f}" for s in samples))
             result["metrics"]["setup_s"]["value"] = statistics.median(samples)
+        result["metrics"] = conform(
+            result["metrics"],
+            manifest["per_layer" if args.trace else "end_to_end"],
+            idle_ok=bool(args.trace))
     except (subprocess.TimeoutExpired, RuntimeError, ValueError,
             KeyError) as e:
         log(f"run failed: {e}")

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "accuracy.hpp"
 #include "approxinv/approx_inverse.hpp"
 #include "approxinv/depth.hpp"
 #include "chol/ichol.hpp"
@@ -17,6 +18,7 @@
 #include "effres/exact.hpp"
 #include "graph/generators.hpp"
 #include "graph/laplacian.hpp"
+#include "obs/metrics.hpp"
 #include "order/mindeg.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace.hpp"
@@ -29,7 +31,6 @@ using er::index_t;
 using er::real_t;
 
 constexpr std::size_t kErrorSamples = 1000;  // per graph, as in Table I
-constexpr std::uint64_t kErrorSampleSeed = 7;  // measure_edge_errors' default
 
 struct Case {
   std::string name;
@@ -162,7 +163,8 @@ Result run_alg3(const Args& args) {
        ", ba n=" + std::to_string(cases[1].graph.num_nodes()) +
        " m=" + std::to_string(cases[1].queries.size()));
 
-  er::ThreadPool pool(kThreads);
+  er::obs::MetricsRegistry pool_reg;
+  er::ThreadPool pool(kThreads, &pool_reg);
 
   if (args.setup_only) {
     double build = 0.0;
@@ -182,6 +184,7 @@ Result run_alg3(const Args& args) {
   std::vector<double> untraced_totals, traced_totals;
   std::vector<std::vector<real_t>> first_answers(cases.size());
   LayerCounts counts;
+  const er::obs::MetricsSnapshot pool_before = pool_reg.snapshot();
   const double t_start = now_seconds();
   for (int pass = 0;; ++pass) {
     const bool layered = args.trace && pass % 2 == 1;
@@ -212,15 +215,18 @@ Result run_alg3(const Args& args) {
     if (pass + 1 >= min_passes && now_seconds() - t_start >= args.seconds)
       break;
   }
+  const double loop_s = now_seconds() - t_start;
+  const er::obs::MetricsSnapshot pool_after = pool_reg.snapshot();
+  // Read before the exact reference below, whose factors are the check's,
+  // not the workload's.
+  const double peak_mb = peak_rss_mb();
   check(r, true, "all Alg. 3 passes bitwise-identical across " +
                      std::to_string(total_samples.size()) + " passes");
 
   // Accuracy (the paper's Ea / Em) against the exact engine, untimed, on
   // a fixed sample of 1000 edges per graph (the Table I protocol's fixed
   // seed), so Ea and Em are properties of the code, not of the run.
-  double err_sum = 0.0, err_max = 0.0;
-  std::size_t err_n = 0;
-  bool finite = true;
+  std::vector<real_t> approx, ref;
   for (std::size_t g = 0; g < cases.size(); ++g) {
     const Case& c = cases[g];
     std::vector<std::size_t> order(c.queries.size());
@@ -231,31 +237,24 @@ Result run_alg3(const Args& args) {
     std::mt19937_64 sample_rng(kErrorSampleSeed);
     std::uniform_int_distribution<std::size_t> pick(0, order.size() - 1);
     std::vector<er::ResistanceQuery> sample;
-    std::vector<real_t> approx;
     for (std::size_t i = 0; i < kErrorSamples; ++i) {
       const std::size_t e = order[pick(sample_rng)];
       sample.push_back(c.queries[e]);
       approx.push_back(first_answers[g][e]);
     }
     const er::ExactEffRes exact(c.graph);
-    std::vector<real_t> ref(sample.size(), 0.0);
-    exact.resistances_into(sample, ref, &pool);
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      if (!std::isfinite(approx[i]) || !(ref[i] > 0.0)) finite = false;
-      const double rel = std::abs(approx[i] - ref[i]) / ref[i];
-      err_sum += rel;
-      err_max = std::max(err_max, rel);
-      ++err_n;
-    }
+    std::vector<real_t> exact_answers(sample.size(), 0.0);
+    exact.resistances_into(sample, exact_answers, &pool);
+    ref.insert(ref.end(), exact_answers.begin(), exact_answers.end());
   }
-  const double ea = err_sum / static_cast<double>(err_n);
-  check(r, finite, "approximate and exact resistances finite and positive");
+  const RelErr err = relative_errors(approx, ref);
+  check(r, err.finite, "approximate and exact resistances finite and positive");
   // Coarse sanity bounds (the paper reports Ea ~0.3%, Em ~3%): they catch a
   // broken engine, not a small accuracy drift, which Ea/Em report.
-  check(r, ea < 0.05 && err_max < 0.5,
-        "Ea " + std::to_string(ea) + " < 0.05 and Em " +
-            std::to_string(err_max) + " < 0.5 over " + std::to_string(err_n) +
-            " seeded edges");
+  check(r, err.mean < 0.05 && err.max < 0.5,
+        "Ea " + std::to_string(err.mean) + " < 0.05 and Em " +
+            std::to_string(err.max) + " < 0.5 over " +
+            std::to_string(err.samples) + " seeded edges");
 
   if (args.trace) {
     const auto self = Tracer::global().self_seconds();
@@ -277,13 +276,16 @@ Result run_alg3(const Args& args) {
           static_cast<double>(cases[0].queries.size() +
                               cases[1].queries.size()),
           "count");
+    add_pool_metrics(r, pool_before, pool_after, kThreads, loop_s);
     add_trace_overhead(r, median(untraced_totals), median(traced_totals));
   } else {
     r.add("setup_s", median(setup_samples), "s");
-    r.add("peak_rss_mb", peak_rss_mb(), "MiB");
-    r.add("er_total_s", median(total_samples), "s");
-    r.add("er_rel_err_mean", ea, "ratio");
-    r.add("er_rel_err_max", err_max, "ratio");
+    r.add("peak_rss_mb", peak_mb, "MiB");
+    // One operation: an Alg. 3 pass, build plus all-edge queries, over
+    // both graphs (the paper's T).
+    r.add("op_p50_ms", 1e3 * median(total_samples), "ms");
+    r.add("er_rel_err_mean", err.mean, "ratio");
+    r.add("er_rel_err_max", err.max, "ratio");
   }
   return r;
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "accuracy.hpp"
 #include "common.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -26,6 +27,7 @@ using er::index_t;
 
 constexpr int kUpdates = 16;
 constexpr er::real_t kDirtyFraction = 0.10;
+constexpr std::size_t kErrorPairs = 256;  // port pairs in the ER accuracy
 
 er::ReductionOptions reduction_options() {
   // The settings of bench_parallel_reduction, where the cold-reduction
@@ -119,6 +121,18 @@ Result run_pg_reduce(const Args& args) {
        " resistors=" + std::to_string(pg.resistors.size()) +
        " ports=" + std::to_string(pg.port_nodes().size()));
 
+  // DC analysis (the paper's Table II error): the reduced model against
+  // the full solve, relative to the maximum drop.
+  const std::vector<er::real_t> loads = pg.load_vector(0.0);
+  const auto dc_error_pct = [&](const er::ConductanceNetwork& grid,
+                                const er::ReducedModel& model) {
+    const er::DcSolution full = er::solve_dc(grid, loads);
+    const er::DcSolution reduced =
+        er::solve_dc(model.network, er::map_injections(model, loads));
+    return 100.0 *
+           er::compare_dc(full.drops, reduced, model, pg.port_nodes()).rel;
+  };
+
   if (args.trace) {
     // Cold layered reduction first: nothing runs before it in the process.
     er::obs::MetricsRegistry pool_reg;
@@ -156,12 +170,15 @@ Result run_pg_reduce(const Args& args) {
     const er::obs::MetricsSnapshot span_before =
         er::obs::MetricsRegistry::global().snapshot();
     er::ConductanceNetwork current = net;
+    std::vector<double> updates;
     for (int u = 0; u < kUpdates; ++u) {
       const er::GridModification mod = er::random_modification(
           reducer.structure().num_blocks, kDirtyFraction, 1.3, rng());
       current = er::apply_modification(current, reducer.structure(), mod);
       ScopedSpan s("reduction.update");
+      const double u0 = now_seconds();
       reducer.update(current, mod.dirty_blocks);
+      updates.push_back(now_seconds() - u0);
       ++r.attempted;
     }
     const er::obs::MetricsSnapshot span_after =
@@ -195,6 +212,8 @@ Result run_pg_reduce(const Args& args) {
           (stage_sum(span_after, "stitch_update") -
            stage_sum(span_before, "stitch_update")) / kUpdates,
           "s");
+    r.add("reduction.incr_update_s", median(updates), "s");
+    r.add("reduction.dc_err_pct", dc_error_pct(net, cold.model), "%");
     r.add("reduction.cpu_inflation", median(block_work) / serial_work, "ratio");
     r.add("reduction.cpu_inflation_cold", sum(cold.block_s) / serial_work,
           "ratio");
@@ -236,22 +255,30 @@ Result run_pg_reduce(const Args& args) {
   check(r, identical, "models_identical across the cold and " +
                           std::to_string(warm.size()) + " warm reductions");
 
-  // DC analysis (the paper's Table II error): the reduced model against
-  // the full solve, for the initial grid (reported) and for the grid after
-  // the updates (checked).
-  const std::vector<er::real_t> loads = pg.load_vector(0.0);
-  const auto dc_error_pct = [&](const er::ConductanceNetwork& grid,
-                                const er::ReducedModel& model) {
-    const er::DcSolution full = er::solve_dc(grid, loads);
-    const er::DcSolution reduced =
-        er::solve_dc(model.network, er::map_injections(model, loads));
-    return 100.0 *
-           er::compare_dc(full.drops, reduced, model, pg.port_nodes()).rel;
-  };
+  // The DC error of the initial grid's model and of the grid after the
+  // updates, checked.
   const double dc_err_pct = dc_error_pct(net, reducer.model());
   check(r, dc_err_pct > 0.0 && dc_err_pct < 5.0,
         "DC port-voltage error " + std::to_string(dc_err_pct) +
             "% of the maximum drop (< 5%)");
+
+  // ER accuracy: port-pair resistances of the initial grid's reduced model,
+  // taken before the updates change it, against the full grid's (below).
+  const std::vector<std::pair<index_t, index_t>> pairs =
+      fixed_port_pairs(pg.port_nodes(), kErrorPairs);
+  std::vector<std::pair<index_t, index_t>> reduced_pairs;
+  bool mapped = true;
+  for (const auto& [p, q] : pairs) {
+    const index_t rp = reducer.model().node_map[static_cast<std::size_t>(p)];
+    const index_t rq = reducer.model().node_map[static_cast<std::size_t>(q)];
+    mapped = mapped && rp >= 0 && rq >= 0;
+    reduced_pairs.emplace_back(std::max<index_t>(rp, 0),
+                               std::max<index_t>(rq, 0));
+  }
+  check(r, mapped, "every sampled port kept by the reduction");
+  er::ThreadPool check_pool(kThreads);
+  const std::vector<er::real_t> reduced_resistances = exact_port_resistances(
+      reducer.model().network, reduced_pairs, &check_pool);
 
   std::vector<double> updates;
   er::ConductanceNetwork current = net;
@@ -268,12 +295,26 @@ Result run_pg_reduce(const Args& args) {
   check(r, dc_updated_pct < 5.0,
         "DC error after " + std::to_string(kUpdates) + " updates " +
             std::to_string(dc_updated_pct) + "% (< 5%)");
+  // Read before the full grid's exact resistances, whose factor is the
+  // check's.
+  const double peak_mb = peak_rss_mb();
+
+  const RelErr err = relative_errors(
+      reduced_resistances, exact_port_resistances(net, pairs, &check_pool));
+  // A coarse sanity bound (the reduction measures ~7% mean, ~40% max on
+  // these grids): it catches a broken model, not a drift, which the
+  // metrics report.
+  check(r, err.finite && err.mean < 0.25,
+        "reduced-model port resistances finite, mean relative error " +
+            std::to_string(err.mean) + " < 0.25 over " +
+            std::to_string(err.samples) + " fixed port pairs");
 
   r.add("setup_s", setup_s, "s");
-  r.add("peak_rss_mb", peak_rss_mb(), "MiB");
-  r.add("reduce_s", median(warm), "s");
-  r.add("incr_update_s", median(updates), "s");
-  r.add("dc_err_pct", dc_err_pct, "%");
+  r.add("peak_rss_mb", peak_mb, "MiB");
+  // One operation: a warm full reduction (the paper's T_red).
+  r.add("op_p50_ms", 1e3 * median(warm), "ms");
+  r.add("er_rel_err_mean", err.mean, "ratio");
+  r.add("er_rel_err_max", err.max, "ratio");
   return r;
 }
 

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "accuracy.hpp"
 #include "common.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
@@ -60,6 +61,7 @@ constexpr int kQueryConnections = 2;       // open-loop connections
 constexpr std::size_t kVerifySample = 16;  // requests re-answered directly
 constexpr std::size_t kKeepVersions = 3;   // snapshots the watcher retains
 constexpr int kServerThreads = 2;          // er_served default --threads
+constexpr std::size_t kErrorPairs = 256;   // port pairs in the ER accuracy
 
 er::net::StackOptions stack_options() {
   er::net::StackOptions so;  // er_served defaults, 32 blocks
@@ -376,6 +378,28 @@ Result run_serve(const Args& args, bool zipf_churn) {
     r.attempted = 1;
     r.add("setup_s", d.setup_s, "s");
     return r;
+  }
+
+  // ER accuracy, first half: the resistances the daemon serves for a fixed
+  // sample of port pairs, answered directly (cache off) on the initial
+  // version before any load; the exact reference is computed at the end.
+  const std::vector<std::pair<index_t, index_t>> error_pairs =
+      fixed_port_pairs(ports, kErrorPairs);
+  std::vector<real_t> served_resistances;
+  {
+    std::vector<er::PortQuery> batch;
+    for (const auto& [p, q] : error_pairs) {
+      er::PortQuery query;
+      query.kind = er::QueryKind::kResistance;
+      query.p = p;
+      query.q = q;
+      batch.push_back(query);
+    }
+    er::obs::MetricsRegistry answer_reg;
+    er::AnswerContext ctx;
+    ctx.registry = &answer_reg;
+    served_resistances =
+        er::QueryFrontEnd::answer_on(*stack.store().acquire(), batch, ctx);
   }
 
   // ---------------------------------------------------------- the schedule
@@ -752,17 +776,33 @@ Result run_serve(const Args& args, bool zipf_churn) {
     // Odd requests recorded spans as their replies arrived; even ones did
     // not. The p50 difference is the tracing overhead on latency.
     add_trace_overhead(r, 1e-3 * median(untraced_ms), 1e-3 * median(traced_ms));
+    if (zipf_churn)
+      r.add("serve.publish_p50_ms", median(publish_ms), "ms");
+    else
+      r.add("net.sat_qps", sat_qps, "queries/s");
     return r;
   }
 
+  // Read before the full grid's exact resistances, whose factor is the
+  // check's.
+  const double peak_mb = peak_rss_mb();
+  const RelErr err = relative_errors(
+      served_resistances,
+      exact_port_resistances(net, error_pairs, &check_pool));
+  // A coarse sanity bound (the reduction measures ~7% mean, ~40% max on
+  // these grids): it catches a broken model, not a drift, which the
+  // metrics report.
+  check(r, err.finite && err.mean < 0.25,
+        "served port resistances finite, mean relative error " +
+            std::to_string(err.mean) + " < 0.25 over " +
+            std::to_string(err.samples) + " fixed port pairs");
+
   r.add("setup_s", d.setup_s, "s");
-  r.add("peak_rss_mb", peak_rss_mb(), "MiB");
-  r.add("lat_p50_ms", median(latency_ms), "ms");
-  if (zipf_churn) {
-    r.add("publish_p50_ms", median(publish_ms), "ms");
-  } else {
-    r.add("sat_qps", sat_qps, "queries/s");
-  }
+  r.add("peak_rss_mb", peak_mb, "MiB");
+  // One operation: a request, from its scheduled send to its reply.
+  r.add("op_p50_ms", median(latency_ms), "ms");
+  r.add("er_rel_err_mean", err.mean, "ratio");
+  r.add("er_rel_err_max", err.max, "ratio");
   return r;
 }
 
