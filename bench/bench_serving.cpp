@@ -1,22 +1,23 @@
 // Serving bench: queries/sec through the ModelStore vs. thread count
 // (DESIGN.md §4). For each grid, the reduction runs once, a ModelSnapshot
-// is built and published, and a mixed 10k-query batch (port responses +
-// effective resistances, intra- and cross-block) is answered at 1/2/4/8
-// threads on each route mode. Enforced invariants (exit 1 on violation):
+// (one Cholesky factor of the stitched system) is built and published,
+// and a mixed 10k-query batch (port responses + effective resistances) is
+// answered at 1/2/4/8 threads. Enforced invariants (exit 1 on violation):
 //
-//   * every multi-thread batch is bit-identical to the 1-thread batch of
-//     the same mode (per-query slot writes, shared immutable snapshot), and
-//   * the sharded domain-decomposition answers match the serial
-//     single-model (monolithic-factor) answers to 1e-8 relative.
+//   * every multi-thread batch is bit-identical to the 1-thread batch
+//     (per-query slot writes, shared immutable snapshot), and
+//   * a sample of the answers matches an independent solve_dc reference
+//     on the stitched model to 1e-8 relative.
 //
 // --churn switches to the mixed update+query mode (DESIGN.md §4.1): an
 // AsyncUpdater streams modification batches through the IncrementalReducer
-// (dirty-only snapshot rebuilds) while query batches keep hitting the
-// store, measuring publish latency, staleness (modifications behind), and
-// QPS under churn. Enforced there (exit 1 on violation): the final
-// asynchronously-published snapshot answers bit-identically to a
-// synchronous twin reducer that applied the same modification stream
-// sequentially and built its snapshot from scratch.
+// (each publish re-stitches copy-on-write and refactors the system) while
+// query batches keep hitting the store, measuring publish latency,
+// staleness (modifications behind), and QPS under churn. Enforced there
+// (exit 1 on violation): the final asynchronously-published snapshot
+// answers bit-identically to a synchronous twin reducer that applied the
+// same modification stream sequentially and built its snapshot from
+// scratch.
 //
 // --loopback switches to the network serving mode (DESIGN.md §8): the
 // net/ Server + ServingStack run in-process and real LoopbackClient TCP
@@ -38,14 +39,14 @@
 //
 // --policy-mix switches to the per-query QueryPolicy sweep (DESIGN.md
 // §4.3): one batch carrying a deterministic mix of accuracy tiers,
-// backend preferences, hedged queries, and deadlines is answered at
-// 1/2/4/8 threads, reporting per-tier latency percentiles, hedge win
-// fractions, and deadline misses. Enforced (exit 1 on violation): every
-// multi-thread batch is bit-identical to the 1-thread batch, every hedged
-// answer matches a serial two-backend twin selected with the pure rule in
-// serve/query_policy.hpp, deadline-carrying queries miss exactly when the
-// (fixed, injected) queue wait exceeds their budget, and the er_policy_*
-// counters agree with the returned BatchStats.
+// backend preferences, hedge bits, and deadlines is answered at 1/2/4/8
+// threads, reporting per-tier latency percentiles and deadline misses.
+// Enforced (exit 1 on violation): every multi-thread batch is
+// bit-identical to the 1-thread batch, every query that did not miss its
+// deadline answers bitwise like the same query without a policy,
+// deadline-carrying queries miss exactly when the (fixed, injected) queue
+// wait exceeds their budget, and the er_policy_* counters agree with the
+// returned BatchStats.
 //
 // Emits BENCH_serving.json (schema: bench/README.md). All modes also
 // report per-query latency percentiles (and, under churn, publish-latency
@@ -74,6 +75,7 @@
 #include "net/stack.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "pg/analysis.hpp"
 #include "pg/incremental.hpp"
 #include "serve/async_updater.hpp"
 #include "serve/model_store.hpp"
@@ -106,18 +108,43 @@ int write_metrics_dump(obs::MetricsSnapshot dump,
 }
 
 /// Set `query_latency_p50/p95/p99_us` on a JSON row from the iteration's
-/// `er_query_latency_seconds{mode=...}` histogram (zeros when absent).
+/// `er_query_latency_seconds` histogram (zeros when absent).
 void set_query_latency_fields(bench::BenchJson::Row& row,
-                              const obs::MetricsSnapshot& snap,
-                              RouteMode mode) {
-  const obs::MetricSnapshot* h =
-      snap.find("er_query_latency_seconds", {{"mode", to_string(mode)}});
+                              const obs::MetricsSnapshot& snap) {
+  const obs::MetricSnapshot* h = snap.find("er_query_latency_seconds");
   const auto us = [h](double q) {
     return h ? h->histogram.quantile(q) * 1e6 : 0.0;
   };
   row.set("query_latency_p50_us", us(0.50))
       .set("query_latency_p95_us", us(0.95))
       .set("query_latency_p99_us", us(0.99));
+}
+
+/// Reduced nodes incident to an inter-block edge: the interface a
+/// domain decomposition of the stitched system would have to solve.
+/// Reported per row so the boundary fraction behind the one-factor design
+/// (DESIGN.md §4) stays visible.
+long long boundary_nodes(const ReducedModel& model) {
+  std::vector<index_t> block_of(
+      static_cast<std::size_t>(model.network.num_nodes()), -1);
+  for (std::size_t b = 0; b < model.block_kept.size(); ++b)
+    for (const index_t v : model.block_kept[b])
+      block_of[static_cast<std::size_t>(v)] = static_cast<index_t>(b);
+  std::vector<char> boundary(block_of.size(), 0);
+  for (const Edge& e : model.network.graph.edges())
+    if (block_of[static_cast<std::size_t>(e.u)] !=
+        block_of[static_cast<std::size_t>(e.v)]) {
+      boundary[static_cast<std::size_t>(e.u)] = 1;
+      boundary[static_cast<std::size_t>(e.v)] = 1;
+    }
+  return std::count(boundary.begin(), boundary.end(), 1);
+}
+
+/// Set the model-shape fields every row carries.
+void set_model_fields(bench::BenchJson::Row& row, const ReducedModel& model) {
+  row.set("reduced_nodes", static_cast<long long>(model.stats.reduced_nodes))
+      .set("boundary_nodes", boundary_nodes(model))
+      .set("blocks", static_cast<int>(model.block_kept.size()));
 }
 
 std::vector<PortQuery> make_batch(const ReducedModel& model,
@@ -151,7 +178,7 @@ int run_churn(const bench::BenchOptions& bopts) {
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Case", "Threads", "Mods", "Batches", "PubLat(ms)",
-                      "MaxStale", "Blocked", "CopiedKB", "kQPS", "Reused",
+                      "MaxStale", "Blocked", "CopiedKB", "kQPS",
                       "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
@@ -176,10 +203,7 @@ int run_churn(const bench::BenchOptions& bopts) {
       obs::MetricsRegistry reg;
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
-      ServingOptions sopts;
-      // Production churn configuration: no whole-system factor per publish.
-      sopts.build_monolithic_factor = false;
-      reducer.attach_store(&store, sopts);
+      reducer.attach_store(&store);
       const double full_build_seconds = store.acquire()->build_seconds();
       const QueryFrontEnd frontend(&store, &reg);
       const auto batch = make_batch(reducer.model(), kChurnBatch, 2029);
@@ -266,8 +290,8 @@ int run_churn(const bench::BenchOptions& bopts) {
       // layer must tell the same story as Stats/BatchStats, or one of the
       // two bookkeeping paths is lying.
       const obs::MetricsSnapshot reg_snap = reg.snapshot();
-      const obs::MetricSnapshot* query_hist = reg_snap.find(
-          "er_query_latency_seconds", {{"mode", "sharded"}});
+      const obs::MetricSnapshot* query_hist =
+          reg_snap.find("er_query_latency_seconds");
       const obs::MetricSnapshot* publish_hist =
           reg_snap.find("er_updater_publish_latency_seconds");
       const obs::MetricSnapshot* stale_gauge =
@@ -317,15 +341,14 @@ int run_churn(const bench::BenchOptions& bopts) {
 
       // Validation: a synchronous twin applies the same stream one update
       // at a time; the async final model must match it bit-for-bit, and
-      // the chain of dirty-only rebuilds must answer bit-identically to a
+      // the final published snapshot must answer bit-identically to a
       // from-scratch snapshot of the twin's model.
       IncrementalReducer twin(net, pg.port_mask(), ropts);
       for (int u = 0; u < kChurnMods; ++u)
         twin.update(nets[static_cast<std::size_t>(u)],
                     mods[static_cast<std::size_t>(u)].dirty_blocks);
       bool identical = models_identical(reducer.model(), twin.model());
-      const auto twin_snap =
-          ModelSnapshot::build(twin.blocks(), twin.model(), sopts);
+      const auto twin_snap = ModelSnapshot::build(twin.model());
       const auto want = QueryFrontEnd::answer_on(*twin_snap, batch);
       const auto got = QueryFrontEnd::answer_on(*final_snap, batch);
       for (std::size_t i = 0; i < want.size(); ++i)
@@ -368,11 +391,6 @@ int run_churn(const bench::BenchOptions& bopts) {
               ? static_cast<double>(vstale_sum) /
                     static_cast<double>(stale_samples)
               : 0.0;
-      const double reused_fraction =
-          final_snap->num_blocks() > 0
-              ? static_cast<double>(final_snap->reused_blocks()) /
-                    static_cast<double>(final_snap->num_blocks())
-              : 0.0;
 
       table.add_row({name, TablePrinter::fmt_int(threads),
                      TablePrinter::fmt_int(kChurnMods),
@@ -387,21 +405,15 @@ int run_churn(const bench::BenchOptions& bopts) {
                              1024.0,
                          1),
                      TablePrinter::fmt(qps / 1000.0, 1),
-                     TablePrinter::fmt(reused_fraction, 2),
                      identical ? "yes" : "NO"});
       auto& row = json.add_row();
       row.set("bench", "serving")
           .set("case", name)
           .set("mode", "churn")
           .set("threads", threads)
-          .set("queries", queries_answered)
-          .set("reduced_nodes",
-               static_cast<long long>(
-                   final_snap->model().stats.reduced_nodes))
-          .set("boundary_nodes",
-               static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
-          .set("mods_submitted", ustats.submitted)
+          .set("queries", queries_answered);
+      set_model_fields(row, final_snap->model());
+      row.set("mods_submitted", ustats.submitted)
           .set("update_batches", ustats.batches)
           .set("mods_coalesced", ustats.coalesced)
           .set("publish_latency_mean_seconds", publish_latency_mean)
@@ -416,14 +428,13 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("staleness_max_versions", vstale_max)
           .set("queries_per_second", qps)
           .set("churn_wall_seconds", churn_seconds)
-          .set("reused_block_fraction", reused_fraction)
           .set("incremental_publish_seconds", reducer.publish_seconds())
           .set("full_snapshot_build_seconds", full_build_seconds)
           // Zero-copy publish accounting: model bytes the last publish
           // deep-copied (0 on the shared-model path) vs. the bytes of
-          // serving state it materialized (scales with the dirty set) vs.
-          // the whole model's footprint (what the pre-zero-copy publishes
-          // used to copy every time).
+          // serving state it materialized (the factor) vs. the whole
+          // model's footprint (what the pre-zero-copy publishes used to
+          // copy every time).
           .set("publish_model_bytes_copied",
                static_cast<long long>(reducer.publish_model_bytes_copied()))
           .set("publish_bytes_materialized",
@@ -438,7 +449,7 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("max_observed_staleness_mods",
                ustats.max_observed_staleness_mods)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -468,8 +479,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
   constexpr int kZipfBatchesPerMod = 4;
   constexpr std::size_t kZipfBatch = 500;
   // Pool smaller than a mod-cycle's draw count (4 * 500), so a skewed
-  // working set revisits keys both within a version and across the clean
-  // blocks carried to the next one.
+  // working set revisits keys within each version.
   constexpr std::size_t kPoolPairs = 384;
 
   std::vector<int> thread_counts{1};
@@ -499,13 +509,11 @@ int run_zipf(const bench::BenchOptions& bopts) {
       obs::MetricsRegistry uncached_reg;
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
-      ServingOptions sopts;
-      sopts.build_monolithic_factor = false;
-      reducer.attach_store(&store, sopts);
+      reducer.attach_store(&store);
       // Attach after the initial publish: attach_cache registers the
-      // already-current snapshot, subsequent publishes carry/invalidate.
+      // already-current snapshot, subsequent publishes scope and sweep.
       const auto cache =
-          std::make_shared<ResultCache>(sopts.cache, &reg);
+          std::make_shared<ResultCache>(ResultCacheOptions{}, &reg);
       store.attach_cache(cache);
       const BlockStructure structure = reducer.structure();
 
@@ -579,7 +587,6 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ct;
           AnswerContext cached_ctx;
           cached_ctx.pool = qpool.get();
-          cached_ctx.mode = RouteMode::kLocalApprox;
           cached_ctx.stats = &cached_stats;
           cached_ctx.registry = &reg;
           cached_ctx.cache = cache.get();
@@ -590,7 +597,6 @@ int run_zipf(const bench::BenchOptions& bopts) {
           Timer ut;
           AnswerContext uncached_ctx;
           uncached_ctx.pool = qpool.get();
-          uncached_ctx.mode = RouteMode::kLocalApprox;
           uncached_ctx.stats = &uncached_stats;
           uncached_ctx.registry = &uncached_reg;
           const auto uncached_answers =
@@ -646,7 +652,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
               : 0.0;
       // The acceptance bar: a skewed stream (S >= 1) over a pool smaller
       // than the per-version draw count must clear a 50% hit rate even
-      // with 10% of blocks going dirty every publish.
+      // though every publish turns the cache scope over.
       if (bopts.zipf >= 1.0 && hit_rate < 0.5) {
         std::fprintf(stderr,
                      "ERROR: %s threads=%d hit rate %.3f below the 0.5 "
@@ -680,14 +686,9 @@ int run_zipf(const bench::BenchOptions& bopts) {
           .set("case", name)
           .set("mode", "zipf")
           .set("threads", threads)
-          .set("queries", queries_answered)
-          .set("reduced_nodes",
-               static_cast<long long>(
-                   final_snap->model().stats.reduced_nodes))
-          .set("boundary_nodes",
-               static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
-          .set("zipf_s", bopts.zipf)
+          .set("queries", queries_answered);
+      set_model_fields(row, final_snap->model());
+      row.set("zipf_s", bopts.zipf)
           .set("pool_pairs", kPoolPairs)
           .set("mods_submitted", static_cast<std::size_t>(kChurnMods))
           .set("cache_hit_rate", hit_rate)
@@ -701,7 +702,7 @@ int run_zipf(const bench::BenchOptions& bopts) {
           .set("queries_per_second", qps)
           .set("queries_per_second_uncached", qps_uncached)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kLocalApprox);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -763,8 +764,6 @@ int run_loopback(const bench::BenchOptions& bopts) {
       net::StackOptions stack_opts;
       stack_opts.reduction.num_blocks = 32;
       stack_opts.reduction.sparsify_quality = 1.0;
-      // Sharded-only traffic: skip the dense global factor per publish.
-      stack_opts.serving.build_monolithic_factor = false;
       net::ServingStack stack(grid_net, is_port, stack_opts, &reg);
 
       net::ServerOptions server_opts;
@@ -970,14 +969,9 @@ int run_loopback(const bench::BenchOptions& bopts) {
           .set("clients", clients)
           .set("queries",
                phase_a_queries + static_cast<std::size_t>(
-                                     churn_queries.load()) + batch.size())
-          .set("reduced_nodes",
-               static_cast<long long>(
-                   final_snap->model().stats.reduced_nodes))
-          .set("boundary_nodes",
-               static_cast<long long>(final_snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(final_snap->num_blocks()))
-          .set("queries_per_second", qps)
+                                     churn_queries.load()) + batch.size());
+      set_model_fields(row, final_snap->model());
+      row.set("queries_per_second", qps)
           .set("request_latency_p50_us", percentile_us(sorted, 0.50))
           .set("request_latency_p95_us", percentile_us(sorted, 0.95))
           .set("request_latency_p99_us", percentile_us(sorted, 0.99))
@@ -989,7 +983,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
           .set("mods_applied",
                static_cast<std::size_t>(stack.mods_accepted()))
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -1009,9 +1003,9 @@ int run_loopback(const bench::BenchOptions& bopts) {
 }
 
 /// Deterministic policy mix over the standard mixed batch, cycling eight
-/// shapes by index: default, exact/kAuto with a generous deadline, reduced
-/// tiers through kAuto, explicit backend preferences, a hedged fast-tier
-/// query, and a deadline that the injected queue wait always expires.
+/// shapes by index: default, exact with a generous deadline, reduced
+/// tiers, explicit backend preferences, a hedged fast-tier query, and a
+/// deadline that the injected queue wait always expires.
 std::vector<PortQuery> make_policy_batch(const ReducedModel& model,
                                          std::size_t count,
                                          std::uint64_t seed,
@@ -1020,7 +1014,7 @@ std::vector<PortQuery> make_policy_batch(const ReducedModel& model,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     QueryPolicy& pol = batch[i].policy;
     switch (i % 8) {
-      case 0:  // default policy: the pre-policy serving path
+      case 0:  // default policy
         break;
       case 1:
         pol.accuracy_tier = AccuracyTier::kExact;
@@ -1054,8 +1048,8 @@ std::vector<PortQuery> make_policy_batch(const ReducedModel& model,
 
 /// Per-query policy sweep (--policy-mix, DESIGN.md §4.3): per (case,
 /// threads), answer one policy-mixed batch, validating bit-identity across
-/// thread counts, hedged answers against a serial two-backend twin, and
-/// the er_policy_* counters against the returned BatchStats.
+/// thread counts, every unexpired answer against the same query without a
+/// policy, and the er_policy_* counters against the returned BatchStats.
 int run_policy_mix(const bench::BenchOptions& bopts) {
   constexpr std::size_t kBatchSize = 4000;
   // The deadline input is injected, not measured (AnswerContext::
@@ -1066,7 +1060,7 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Case", "Threads", "kQPS", "Exact", "Approx", "Fast",
-                      "Hedged", "EngWin", "Miss", "Identical"});
+                      "Miss", "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
   bool all_ok = true;
@@ -1081,38 +1075,21 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
     ropts.sparsify_quality = 1.0;
     const ReductionArtifacts art =
         reduce_network_artifacts(net, pg.port_mask(), ropts);
-    ModelStore store;
-    store.publish(ModelSnapshot::build(art));
-    const SnapshotPtr snap = store.acquire();
+    const auto snap = ModelSnapshot::build(art);
     const auto batch =
         make_policy_batch(*art.model, kBatchSize, 2027,
                           static_cast<std::uint32_t>(kQueueWaitUs / 2));
     std::size_t miss_slots = 0;  // slots make_policy_batch gave an
     for (std::size_t i = 7; i < batch.size(); i += 8) ++miss_slots;  // expired deadline
 
-    // Serial two-backend twin for the hedged slots: evaluate each leg
-    // through its own un-hedged batch (engine-preferring and
-    // exact-preferring), then apply the selection rule by hand. Ineligible
-    // hedged queries collapse to the same exact answer on both legs, so
-    // the comparison is well-defined for every hedged slot.
-    std::vector<PortQuery> engine_leg = batch, exact_leg = batch;
-    for (auto& query : engine_leg) {
-      query.policy.hedge = false;
-      query.policy.backend_pref = BackendPref::kLocalApprox;
-    }
-    for (auto& query : exact_leg) {
-      query.policy.hedge = false;
-      query.policy.backend_pref = BackendPref::kSharded;
-    }
+    // Policy-free twin: tier, backend and hedge select nothing, so every
+    // unexpired query must answer bitwise like its default-policy copy.
+    std::vector<PortQuery> plain = batch;
+    for (auto& query : plain) query.policy = QueryPolicy{};
     obs::MetricsRegistry twin_reg;
     AnswerContext twin_ctx;
-    twin_ctx.mode = RouteMode::kSharded;
     twin_ctx.registry = &twin_reg;
-    twin_ctx.queue_wait_us = kQueueWaitUs;
-    const auto engine_answers =
-        QueryFrontEnd::answer_on(*snap, engine_leg, twin_ctx);
-    const auto exact_answers =
-        QueryFrontEnd::answer_on(*snap, exact_leg, twin_ctx);
+    const auto plain_answers = QueryFrontEnd::answer_on(*snap, plain, twin_ctx);
 
     std::vector<real_t> serial_answers;
     for (int threads : thread_counts) {
@@ -1123,7 +1100,6 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
       std::vector<QueryStatus> statuses;
       AnswerContext ctx;
       ctx.pool = pool.get();
-      ctx.mode = RouteMode::kSharded;
       ctx.stats = &stats;
       ctx.registry = &reg;
       ctx.queue_wait_us = kQueueWaitUs;
@@ -1136,25 +1112,9 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
       bool identical = true;
       if (threads == 1) {
         serial_answers = answers;
-        // Hedged slots must match the serial two-backend twin selected
-        // with the pure rule (serve/query_policy.hpp).
-        for (std::size_t i = 6; i < batch.size(); i += 8) {
-          const real_t want =
-              hedge_prefers_engine(batch[i].policy.accuracy_tier,
-                                   engine_answers[i])
-                  ? engine_answers[i]
-                  : exact_answers[i];
-          if (!(answers[i] == want) &&
-              !(answers[i] != answers[i] && want != want)) {
-            std::fprintf(stderr,
-                         "ERROR: %s hedged query %zu diverged from the "
-                         "serial two-backend twin\n",
-                         name.c_str(), i);
-            identical = false;
-          }
-        }
         // Deadline misses: exactly the slots whose budget the injected
-        // queue wait expires, answered NaN, flagged kDeadlineMiss.
+        // queue wait expires, answered NaN, flagged kDeadlineMiss; every
+        // other slot answers like the policy-free twin.
         std::size_t observed_misses = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (statuses[i] == QueryStatus::kDeadlineMiss) {
@@ -1166,6 +1126,12 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
                            name.c_str(), i);
               identical = false;
             }
+          } else if (answers[i] != plain_answers[i]) {
+            std::fprintf(stderr,
+                         "ERROR: %s query %zu diverged from its "
+                         "policy-free twin\n",
+                         name.c_str(), i);
+            identical = false;
           }
         }
         if (observed_misses != miss_slots ||
@@ -1200,20 +1166,13 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
       };
       const std::uint64_t miss_counter =
           counter_value("er_policy_deadline_miss_total", {});
-      const std::uint64_t hedge_counter =
-          counter_value("er_policy_hedges_total",
-                        {{"winner", "local-approx"}}) +
-          counter_value("er_policy_hedges_total", {{"winner", "sharded"}});
-      if (miss_counter != stats.deadline_miss ||
-          hedge_counter != stats.hedged) {
+      if (miss_counter != stats.deadline_miss) {
         std::fprintf(stderr,
-                     "ERROR: %s threads=%d er_policy_* counters disagree "
-                     "with BatchStats (miss %llu/%zu, hedges %llu/%zu)\n",
+                     "ERROR: %s threads=%d er_policy_deadline_miss_total "
+                     "%llu != BatchStats %zu\n",
                      name.c_str(), threads,
                      static_cast<unsigned long long>(miss_counter),
-                     stats.deadline_miss,
-                     static_cast<unsigned long long>(hedge_counter),
-                     stats.hedged);
+                     stats.deadline_miss);
         identical = false;
       }
       const std::uint64_t served_exact =
@@ -1226,18 +1185,12 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
 
       const double qps =
           seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
-      const double hedge_win_engine =
-          stats.hedged > 0 ? static_cast<double>(stats.hedge_won_engine) /
-                                 static_cast<double>(stats.hedged)
-                           : 0.0;
       table.add_row(
           {name, TablePrinter::fmt_int(threads),
            TablePrinter::fmt(qps / 1000.0, 1),
            TablePrinter::fmt_size(static_cast<long long>(served_exact)),
            TablePrinter::fmt_size(static_cast<long long>(served_approx)),
            TablePrinter::fmt_size(static_cast<long long>(served_fast)),
-           TablePrinter::fmt_size(static_cast<long long>(stats.hedged)),
-           TablePrinter::fmt(hedge_win_engine, 2),
            TablePrinter::fmt_size(
                static_cast<long long>(stats.deadline_miss)),
            identical ? "yes" : "NO"});
@@ -1246,22 +1199,16 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
           .set("case", name)
           .set("mode", "policy-mix")
           .set("threads", threads)
-          .set("queries", batch.size())
-          .set("reduced_nodes",
-               static_cast<long long>(snap->model().stats.reduced_nodes))
-          .set("boundary_nodes",
-               static_cast<long long>(snap->num_boundary_nodes()))
-          .set("blocks", static_cast<int>(snap->num_blocks()))
-          .set("queries_per_second", qps)
+          .set("queries", batch.size());
+      set_model_fields(row, snap->model());
+      row.set("queries_per_second", qps)
           .set("served_exact", static_cast<long long>(served_exact))
           .set("served_approx", static_cast<long long>(served_approx))
           .set("served_fast", static_cast<long long>(served_fast))
-          .set("hedged_queries", stats.hedged)
-          .set("hedge_win_fraction_engine", hedge_win_engine)
           .set("deadline_misses", stats.deadline_miss)
           .set("queue_wait_us_injected", kQueueWaitUs)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap);
       // Per-tier latency percentiles from the er_policy_latency_seconds
       // histograms (zeros when a tier saw no traffic).
       for (const char* tier : {"exact", "approx", "fast"}) {
@@ -1280,9 +1227,9 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
   }
 
   std::printf("\nServing with per-query policies — %zu-query batches mixing "
-              "tiers, hedges, and deadlines\n(batches must be bit-identical "
-              "across thread counts; hedged answers must match the serial "
-              "two-backend twin)\n\n",
+              "tiers, backends, hedge bits, and deadlines\n(batches must be "
+              "bit-identical across thread counts and to the policy-free "
+              "twin)\n\n",
               kBatchSize);
   table.print();
   const int json_status = bench::write_json_or_report(json, bopts);
@@ -1305,12 +1252,14 @@ int main(int argc, char** argv) {
   if (bopts.zipf > 0.0) return run_zipf(bopts);
   if (bopts.churn) return run_churn(bopts);
   constexpr std::size_t kBatchSize = 10000;
+  // Queries re-solved by solve_dc (one factorization each) per case.
+  constexpr std::size_t kReferenceSample = 4;
 
   std::vector<int> thread_counts{1};
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
-  TablePrinter table({"Case", "|V_red|", "Boundary", "Mode", "Threads",
-                      "Batch(s)", "kQPS", "Speedup", "Identical"});
+  TablePrinter table({"Case", "|V_red|", "Boundary", "Threads", "Batch(s)",
+                      "kQPS", "Speedup", "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
   bool all_ok = true;
@@ -1329,127 +1278,100 @@ int main(int argc, char** argv) {
     ModelStore store;
     store.publish(ModelSnapshot::build(art));
     const SnapshotPtr snap = store.acquire();
-    const auto batch = make_batch(*art.model, kBatchSize, 2027);
+    const ReducedModel& model = snap->model();
+    const auto batch = make_batch(model, kBatchSize, 2027);
 
-    // Serial single-model reference: the whole batch through the monolithic
-    // factor on one thread. Doubles as the (monolithic, 1 thread) row so
-    // that configuration isn't computed twice. Each measured row gets its
-    // own registry, so its latency histogram covers exactly one batch.
-    obs::MetricsRegistry reference_reg;
-    BatchStats reference_stats;
-    Timer reference_timer;
-    const auto reference =
-        QueryFrontEnd(&store, &reference_reg)
-            .answer(batch, nullptr, RouteMode::kMonolithic,
-                    &reference_stats);
-    const double reference_seconds = reference_timer.seconds();
-    const obs::MetricsSnapshot reference_snap = reference_reg.snapshot();
-    metrics_dump.merge(reference_snap);
+    std::vector<real_t> serial_answers;
+    double serial_seconds = 0.0;
+    for (int threads : thread_counts) {
+      // Each measured row gets its own registry, so its latency histogram
+      // covers exactly one batch. Registry declared before the pool: the
+      // pool's destructor still updates its thread gauge.
+      obs::MetricsRegistry row_reg;
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads, &row_reg);
+      Timer t;
+      const std::vector<real_t> answers =
+          QueryFrontEnd(&store, &row_reg).answer(batch, pool.get());
+      const double seconds = t.seconds();
+      pool.reset();
+      const obs::MetricsSnapshot row_snap = row_reg.snapshot();
+      metrics_dump.merge(row_snap);
+      // Per-query latency coverage: every query of the batch must have
+      // recorded exactly one sample.
+      const obs::MetricSnapshot* row_hist =
+          row_snap.find("er_query_latency_seconds");
+      if (!row_hist || row_hist->histogram.count != batch.size()) {
+        std::fprintf(stderr,
+                     "ERROR: %s threads=%d er_query_latency_seconds count "
+                     "!= %zu batch queries\n",
+                     name.c_str(), threads, batch.size());
+        all_ok = false;
+      }
 
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
-                           RouteMode::kLocalApprox}) {
-      std::vector<real_t> serial_answers;
-      double serial_seconds = 0.0;
-      double max_rel_vs_reference = 0.0;
-      for (int threads : thread_counts) {
-        BatchStats stats;
-        std::vector<real_t> answers;
-        double seconds = 0.0;
-        obs::MetricsSnapshot row_snap;
-        if (mode == RouteMode::kMonolithic && threads == 1) {
-          answers = reference;
-          stats = reference_stats;
-          seconds = reference_seconds;
-          row_snap = reference_snap;
-        } else {
-          // Registry declared before the pool: the pool's destructor
-          // still updates its thread gauge.
-          obs::MetricsRegistry row_reg;
-          std::unique_ptr<ThreadPool> pool;
-          if (threads > 1)
-            pool = std::make_unique<ThreadPool>(threads, &row_reg);
-          Timer t;
-          answers = QueryFrontEnd(&store, &row_reg)
-                        .answer(batch, pool.get(), mode, &stats);
-          seconds = t.seconds();
-          pool.reset();
-          row_snap = row_reg.snapshot();
-          metrics_dump.merge(row_snap);
-        }
-        // Per-query latency coverage: every query of the batch must have
-        // recorded exactly one sample on this route mode.
-        const obs::MetricSnapshot* row_hist = row_snap.find(
-            "er_query_latency_seconds", {{"mode", to_string(mode)}});
-        if (!row_hist || row_hist->histogram.count != batch.size()) {
-          std::fprintf(stderr,
-                       "ERROR: %s/%s threads=%d er_query_latency_seconds "
-                       "count != %zu batch queries\n",
-                       name.c_str(), to_string(mode), threads, batch.size());
-          all_ok = false;
-        }
-
-        bool identical = true;
-        if (threads == 1) {
-          serial_answers = answers;
-          serial_seconds = seconds;
-          // How far the mode strays from the serial single-model answers
-          // (exact modes: solver-roundoff; local-approx: model error).
-          for (std::size_t i = 0; i < answers.size(); ++i) {
-            const double rel = std::abs(answers[i] - reference[i]) /
-                               (1.0 + std::abs(reference[i]));
-            max_rel_vs_reference = std::max(max_rel_vs_reference, rel);
-          }
-          if (mode != RouteMode::kLocalApprox &&
-              max_rel_vs_reference > 1e-8) {
+      bool identical = true;
+      if (threads == 1) {
+        serial_answers = answers;
+        serial_seconds = seconds;
+        // An independent exact reference for a sample of the batch: each
+        // query solved by solve_dc on the stitched model.
+        for (std::size_t i = 0; i < kReferenceSample; ++i) {
+          const PortQuery& query = batch[i];
+          const index_t p = snap->reduced_id(query.p);
+          const index_t q = snap->reduced_id(query.q);
+          std::vector<real_t> inject(
+              static_cast<std::size_t>(model.network.num_nodes()), 0.0);
+          inject[static_cast<std::size_t>(p)] += 1.0;
+          if (query.kind == QueryKind::kResistance)
+            inject[static_cast<std::size_t>(q)] -= 1.0;
+          const std::vector<real_t> d = solve_dc(model.network, inject).drops;
+          const real_t want = query.kind == QueryKind::kResponse
+                                  ? d[static_cast<std::size_t>(q)]
+                                  : d[static_cast<std::size_t>(p)] -
+                                        d[static_cast<std::size_t>(q)];
+          if (!(std::abs(answers[i] - want) <= 1e-8 * std::abs(want))) {
             std::fprintf(stderr,
-                         "ERROR: %s/%s diverged from the serial single-model "
-                         "reference (max rel %.3g)\n",
-                         name.c_str(), to_string(mode), max_rel_vs_reference);
+                         "ERROR: %s query %zu = %.17g, solve_dc reference "
+                         "%.17g\n",
+                         name.c_str(), i, answers[i], want);
             all_ok = false;
           }
-        } else {
-          for (std::size_t i = 0; i < answers.size(); ++i)
-            identical = identical && answers[i] == serial_answers[i];
-          all_ok = all_ok && identical;
         }
-
-        const double qps =
-            seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
-        const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
-        table.add_row({name, TablePrinter::fmt_size(snap->model().stats.reduced_nodes),
-                       TablePrinter::fmt_size(snap->num_boundary_nodes()),
-                       to_string(mode), TablePrinter::fmt_int(threads),
-                       TablePrinter::fmt(seconds, 3),
-                       TablePrinter::fmt(qps / 1000.0, 1),
-                       TablePrinter::fmt(speedup, 2) + "x",
-                       identical ? "yes" : "NO"});
-        auto& row = json.add_row();
-        row.set("bench", "serving")
-            .set("case", name)
-            .set("mode", to_string(mode))
-            .set("threads", threads)
-            .set("queries", batch.size())
-            .set("reduced_nodes",
-                 static_cast<long long>(snap->model().stats.reduced_nodes))
-            .set("boundary_nodes",
-                 static_cast<long long>(snap->num_boundary_nodes()))
-            .set("blocks", static_cast<int>(snap->num_blocks()))
-            .set("snapshot_build_seconds", snap->build_seconds())
-            .set("wall_seconds", seconds)
-            .set("queries_per_second", qps)
-            .set("speedup", speedup)
-            .set("identical", identical)
-            .set("cross_block_queries", stats.cross_block)
-            .set("engine_answered", stats.engine_answered)
-            .set("max_rel_vs_monolithic", max_rel_vs_reference);
-        set_query_latency_fields(row, row_snap, mode);
+      } else {
+        for (std::size_t i = 0; i < answers.size(); ++i)
+          identical = identical && answers[i] == serial_answers[i];
+        all_ok = all_ok && identical;
       }
+
+      const double qps =
+          seconds > 0.0 ? static_cast<double>(batch.size()) / seconds : 0.0;
+      const double speedup = seconds > 0.0 ? serial_seconds / seconds : 0.0;
+      table.add_row({name, TablePrinter::fmt_size(model.stats.reduced_nodes),
+                     TablePrinter::fmt_size(boundary_nodes(model)),
+                     TablePrinter::fmt_int(threads),
+                     TablePrinter::fmt(seconds, 3),
+                     TablePrinter::fmt(qps / 1000.0, 1),
+                     TablePrinter::fmt(speedup, 2) + "x",
+                     identical ? "yes" : "NO"});
+      auto& row = json.add_row();
+      row.set("bench", "serving")
+          .set("case", name)
+          .set("mode", "standard")
+          .set("threads", threads)
+          .set("queries", batch.size());
+      set_model_fields(row, model);
+      row.set("snapshot_build_seconds", snap->build_seconds())
+          .set("wall_seconds", seconds)
+          .set("queries_per_second", qps)
+          .set("speedup", speedup)
+          .set("identical", identical);
+      set_query_latency_fields(row, row_snap);
     }
   }
 
   std::printf("\nServing throughput — mixed %zu-query batches through the "
-              "ModelStore\n(speedup relative to the same mode at 1 thread; "
-              "batches must be bit-identical)\n\n",
+              "ModelStore\n(speedup relative to 1 thread; batches must be "
+              "bit-identical)\n\n",
               kBatchSize);
   table.print();
   const int json_status = bench::write_json_or_report(json, bopts);

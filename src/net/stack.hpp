@@ -41,8 +41,7 @@ namespace er::net {
 
 struct StackOptions {
   ReductionOptions reduction;
-  /// Snapshot build policy; callers that never route kMonolithic should
-  /// clear build_monolithic_factor to skip the dense global factor.
+  /// Snapshot publish (share_model) and result-cache knobs.
   ServingOptions serving;
   /// Attach a ResultCache to the store (serving.cache holds its knobs).
   bool attach_cache = true;

@@ -6,11 +6,10 @@
 /// caches per-block reductions; after a modification only the dirty blocks
 /// are re-reduced and the model re-stitched, making the incremental
 /// reduction cost ~10% of a full reduction. With a ModelStore attached,
-/// every re-stitch also publishes an immutable serving snapshot as a
-/// dirty-only rebuild — clean blocks share the previous snapshot's factors
-/// and resident engines (DESIGN.md §4, §4.1). To run updates off the
-/// serving threads, drive the reducer through serve/AsyncUpdater
-/// (docs/serving_guide.md).
+/// every re-stitch also publishes an immutable serving snapshot, which
+/// aliases the new model version and refactors the stitched system
+/// (DESIGN.md §4, §4.1). To run updates off the serving threads, drive the
+/// reducer through serve/AsyncUpdater (docs/serving_guide.md).
 #pragma once
 
 #include <memory>
@@ -73,7 +72,7 @@ class IncrementalReducer {
   /// (the zero-copy publish of DESIGN.md §4.1).
   ModelPtr shared_model() const { return model_; }
   const BlockStructure& structure() const { return structure_; }
-  /// Cached per-block reductions (the serving snapshot inputs).
+  /// Cached per-block reductions (what an update re-stitches from).
   const std::vector<BlockReduced>& blocks() const { return blocks_; }
 
   /// Re-reduce only the dirty blocks against the modified network and
@@ -84,12 +83,8 @@ class IncrementalReducer {
   /// a fresh immutable snapshot *after* the stitch completes — in-flight
   /// query batches keep answering against the snapshot they pinned, and
   /// only batches started after the publish see the new model (the publish
-  /// protocol of DESIGN.md §4). The published snapshot is a *dirty-only
-  /// rebuild* (ModelSnapshot::rebuild): clean blocks share the previous
-  /// snapshot's factors and resident engines, and only the dirty blocks
-  /// plus the interface-Schur boundary factor are refactored — bit-identical
-  /// to a full rebuild (DESIGN.md §4.1; disable via
-  /// ServingOptions::incremental_publish).
+  /// protocol of DESIGN.md §4). The published snapshot aliases the new
+  /// model version and factors its stitched system (DESIGN.md §4.1).
   ///
   /// Thread-safety: external synchronization per reducer, like every other
   /// method — AsyncUpdater is the supported way to run update() off the
@@ -107,12 +102,8 @@ class IncrementalReducer {
   /// publish_seconds() and is *not* counted into update_seconds(), keeping
   /// the paper's incremental T_red comparable.
   void attach_store(ModelStore* store, const ServingOptions& opts = {});
-  /// Stop publishing (and drop the cached last-published snapshot a future
-  /// re-attach would otherwise rebuild against).
-  void detach_store() {
-    store_ = nullptr;
-    last_published_.reset();
-  }
+  /// Stop publishing.
+  void detach_store() { store_ = nullptr; }
 
   /// Model revision counter: 0 after construction, +1 per update(). The
   /// version number of the snapshot a publish at this state would carry.
@@ -128,8 +119,8 @@ class IncrementalReducer {
   // happens): how many model bytes the snapshot deep-copied — 0 on the
   // default zero-copy path, model_footprint_bytes(model()) with
   // ServingOptions::share_model = false — and how many bytes of serving
-  // state it materialized in total (rebuilt block artifacts + global
-  // factors + any model copy; see ModelSnapshot::bytes_materialized).
+  // state it materialized in total (the factor + any model copy; see
+  // ModelSnapshot::bytes_materialized).
   [[nodiscard]] std::size_t publish_model_bytes_copied() const {
     return publish_model_bytes_copied_;
   }
@@ -138,11 +129,8 @@ class IncrementalReducer {
   }
 
  private:
-  /// Build + publish the snapshot of the current model. `dirty` (the
-  /// deduplicated dirty set of the update that triggered the publish)
-  /// selects the dirty-only rebuild path; null forces a full build (initial
-  /// attach, or incremental_publish disabled).
-  void publish_current(const std::vector<index_t>* dirty);
+  /// Build + publish the snapshot of the current model.
+  void publish_current();
 
   std::vector<char> is_port_;
   ReductionOptions opts_;
@@ -165,9 +153,6 @@ class IncrementalReducer {
   bool model_matches_blocks_ = true;
   ModelStore* store_ = nullptr;
   ServingOptions serving_opts_;
-  /// Most recent published snapshot — the artifact-reuse source of the next
-  /// dirty-only rebuild (null when nothing was published yet).
-  SnapshotPtr last_published_;
   std::uint64_t revision_ = 0;
   double initial_seconds_ = 0.0;
   double update_seconds_ = 0.0;

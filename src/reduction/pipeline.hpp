@@ -136,11 +136,10 @@ using ModelPtr = std::shared_ptr<const ReducedModel>;
 
 /// Everything Alg. 1 produces, with the per-block intermediates retained
 /// instead of discarded after the stitch. The serving layer (`serve/`,
-/// DESIGN.md §4) turns these into a resident, immutable ModelSnapshot:
-/// `structure` routes queries to blocks, `blocks` seeds the per-block
-/// engines, and `model` is the stitched network the answers refer to —
-/// held through ModelPtr so a snapshot built from these artifacts aliases
-/// the model instead of copying it.
+/// DESIGN.md §4) turns `model` — the stitched network the answers refer
+/// to — into a resident, immutable ModelSnapshot; it is held through
+/// ModelPtr so a snapshot built from these artifacts aliases the model
+/// instead of copying it.
 struct ReductionArtifacts {
   BlockStructure structure;
   std::vector<BlockReduced> blocks;  ///< per-block reductions, indexed by block
@@ -212,19 +211,19 @@ ReducedModel reduce_network(const ConductanceNetwork& input,
                             const ReductionOptions& opts = {});
 
 /// Like reduce_network, but keeps the block structure and the per-block
-/// reductions alongside the stitched model (the inputs a serving
-/// ModelSnapshot is built from). reduce_network is a thin wrapper that
-/// discards everything but the model.
+/// reductions alongside the stitched model, shared through ModelPtr (what
+/// a serving ModelSnapshot aliases). reduce_network is a thin wrapper
+/// that discards everything but the model.
 ReductionArtifacts reduce_network_artifacts(const ConductanceNetwork& input,
                                             const std::vector<char>& is_port,
                                             const ReductionOptions& opts = {});
 
 /// Bit-exact equality of two per-block reductions (everything but the
 /// timing fields): kept nodes, merge map, local graph edges/weights, and
-/// shunts. The per-block determinism oracle behind the serving layer's
-/// copy-on-write snapshot sharing — a block untouched by an incremental
+/// shunts. The per-block determinism oracle behind the incremental
+/// reducer's copy-on-write stitch — a block untouched by an incremental
 /// update must reduce to a bit-identical BlockReduced, which is what lets
-/// successive snapshots alias its factors (DESIGN.md §4.1).
+/// successive model versions carry its slices over (DESIGN.md §4.1).
 bool blocks_identical(const BlockReduced& a, const BlockReduced& b);
 
 /// Bit-exact equality of everything but timing stats: node maps,

@@ -8,10 +8,10 @@
 /// against their pinned snapshot for as long as they hold it — a publish
 /// never invalidates in-flight queries, it only changes what the *next*
 /// acquire returns. Old snapshots are freed by shared_ptr refcounting once
-/// the last reader drops them; with copy-on-write rebuilds (DESIGN.md
-/// §4.1) successive snapshots share their clean blocks' artifacts and the
-/// stitched model itself, so a displaced snapshot's teardown releases only
-/// the per-version state no newer snapshot aliases.
+/// the last reader drops them; successive snapshots share the unchanged
+/// slices of the copy-on-write stitched model (DESIGN.md §4.1), so a
+/// displaced snapshot's teardown releases its factor and whatever model
+/// state no newer version aliases.
 #pragma once
 
 #include <chrono>
@@ -89,8 +89,8 @@ class ModelStore {
 
   /// Attach a result cache (serve/result_cache.hpp): the already-current
   /// snapshot (if any) is registered immediately, and every subsequent
-  /// publish() invokes the cache's carry/invalidate hook with the
-  /// displaced and new snapshots. Works for *any* publisher — the
+  /// publish() registers the new version with the cache (and sweeps the
+  /// versions that aged out). Works for *any* publisher — the
   /// IncrementalReducer / AsyncUpdater path publishes through here, so it
   /// needs no wiring of its own. Pass null to detach.
   void attach_cache(std::shared_ptr<ResultCache> cache) ER_EXCLUDES(mutex_);

@@ -3,10 +3,9 @@
 ///
 /// Accepts batches of port-response / effective-resistance queries in
 /// *original* node ids, pins the store's current snapshot once per batch,
-/// routes each query to the owning block(s) through the snapshot's
-/// node->block map, and fans the batch out across a ThreadPool. Answers
-/// land in per-query slots, so a batch is bit-identical at any thread
-/// count.
+/// maps each query to reduced ids and fans the batch out across a
+/// ThreadPool, solving on the snapshot's one factor. Answers land in
+/// per-query slots, so a batch is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -44,17 +43,12 @@ struct PortQuery {
   QueryPolicy policy;
 };
 
-/// Which evaluation path answers the batch.
+/// The route a batch names. Kept for wire and API compatibility (protocol
+/// route byte 0-2); every route is answered exactly on the snapshot's one
+/// factor (DESIGN.md §4).
 enum class RouteMode {
-  /// Exact two-level domain decomposition: per-block interior factors plus
-  /// the stitched boundary system. The default serving path.
   kSharded,
-  /// One factor of the whole stitched system — the "single-model" reference
-  /// the sharded path is validated against.
   kMonolithic,
-  /// Same-block kResistance queries go to the resident block-local ER
-  /// engine (approximate: the block is served in isolation from the rest of
-  /// the grid). Everything else falls back to kSharded.
   kLocalApprox,
 };
 
@@ -63,27 +57,19 @@ const char* to_string(RouteMode m);
 /// Per-batch diagnostics, filled by answer()/answer_on() for the one
 /// batch that produced them. The same figures are simultaneously streamed
 /// into the metrics registry as cumulative counters and latency
-/// histograms per route mode (`er_serve_*{mode=...}`,
-/// `er_query_latency_seconds{mode=...}`, `er_query_batch_seconds{mode=
-/// ...}` — DESIGN.md §6), so BatchStats stays the per-call view while the
-/// registry carries the process-lifetime aggregates.
+/// histograms (`er_serve_*`, `er_query_latency_seconds`,
+/// `er_query_batch_seconds` — DESIGN.md §6), so BatchStats stays the
+/// per-call view while the registry carries the process-lifetime
+/// aggregates.
 struct BatchStats {
   std::size_t queries = 0;
-  std::size_t invalid = 0;          ///< unmapped / out-of-range endpoints
-  std::size_t same_block = 0;       ///< both endpoints owned by one block
-  std::size_t cross_block = 0;      ///< endpoints in different blocks
-  std::size_t engine_answered = 0;  ///< *computed* by a block-local engine
+  std::size_t invalid = 0;  ///< unmapped / out-of-range endpoints
   /// Result-cache figures (serve/result_cache.hpp), zero when no cache was
   /// consulted. hits + misses counts every cache probe of the batch;
-  /// invalid queries are never probed or cached.
+  /// invalid and expired queries are never probed or cached.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Policy figures (serve/query_policy.hpp), zero for all-default
-  /// batches. A hedged query evaluates both legs; hedge_won_engine counts
-  /// the ones whose block-engine leg's answer was selected.
-  std::size_t deadline_miss = 0;    ///< expired before evaluation (NaN)
-  std::size_t hedged = 0;           ///< queries racing two backends
-  std::size_t hedge_won_engine = 0; ///< hedges won by the block engine
+  std::size_t deadline_miss = 0;  ///< expired before evaluation (NaN)
   std::uint64_t snapshot_version = 0;
   double seconds = 0.0;
 };
@@ -95,12 +81,12 @@ struct BatchStats {
 /// existing call sites migrate by wrapping their arguments in braces.
 struct AnswerContext {
   ThreadPool* pool = nullptr;
-  /// Batch-default route; each query's QueryPolicy may override it.
+  /// The route the batch named; accepted, selects nothing.
   RouteMode mode = RouteMode::kSharded;
   BatchStats* stats = nullptr;
   /// Metrics sink (null = the process-wide global registry).
   obs::MetricsRegistry* registry = nullptr;
-  /// Consulted per its ResultCacheOptions mode knobs; may be null.
+  /// Result cache to serve from / fill; may be null.
   ResultCache* cache = nullptr;
   /// Queue wait already consumed before evaluation starts, in
   /// microseconds: the value per-query deadlines are compared against.
@@ -124,9 +110,8 @@ class QueryFrontEnd {
 
   /// Answer a batch against the currently-published snapshot. Throws
   /// std::runtime_error if nothing has been published yet. When the store
-  /// carries an attached ResultCache whose per-mode knob is on, answers
-  /// are served from / inserted into it (bit-identical either way —
-  /// DESIGN.md §4.2).
+  /// carries an attached ResultCache, answers are served from / inserted
+  /// into it (bit-identical either way — DESIGN.md §4.2).
   [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
                                            ThreadPool* pool = nullptr,
                                            RouteMode mode = RouteMode::kSharded,
@@ -139,8 +124,7 @@ class QueryFrontEnd {
                                            const AnswerContext& ctx) const;
 
   /// Answer a batch against an explicitly pinned snapshot (tests, replay).
-  /// ctx.registry null means the global registry; ctx.cache (may be null)
-  /// is consulted per its ResultCacheOptions mode knobs.
+  /// ctx.registry null means the global registry; ctx.cache may be null.
   [[nodiscard]] static std::vector<real_t> answer_on(
       const ModelSnapshot& snapshot, const std::vector<PortQuery>& batch,
       const AnswerContext& ctx = {});

@@ -1,16 +1,16 @@
 /// \file
 /// Per-query serving policy (DESIGN.md §4.3).
 ///
-/// A QueryPolicy rides on every PortQuery and lets one batch mix
-/// criticalities: each query names how accurate its answer must be
+/// A QueryPolicy rides on every PortQuery: how accurate its answer must be
 /// (AccuracyTier), which backend it prefers (BackendPref), how long it was
-/// willing to wait (deadline_us), and whether the front-end should hedge
-/// it across two backends. The default-constructed policy reproduces the
-/// pre-policy behaviour of the batch's RouteMode exactly.
+/// willing to wait (deadline_us), and whether it asked to be hedged. Every
+/// query is answered exactly on the snapshot's one factor, which meets any
+/// tier's error bound, so tier, backend and hedge are accepted (and
+/// range-checked on the wire) but select no code. Only the deadline
+/// changes an outcome.
 ///
 /// Determinism: nothing in this header reads a clock. Deadline expiry is a
-/// pure function of (policy.deadline_us, AnswerContext::queue_wait_us) and
-/// hedge selection a pure function of (tier, the two legs' values), so
+/// pure function of (policy.deadline_us, AnswerContext::queue_wait_us), so
 /// answers stay bit-identical at any thread count (§4.3's argument).
 #pragma once
 
@@ -20,32 +20,25 @@
 
 namespace er {
 
-/// How accurate a query's answer must be.
+/// How accurate a query's answer must be. Every tier is answered exactly;
+/// the tier labels the per-tier metrics (er_policy_*{tier=...}).
 enum class AccuracyTier : std::uint8_t {
-  /// Full two-level (or monolithic) exact solve. The default.
-  kExact = 0,
-  /// A block-local engine answer is acceptable when one is resident and
-  /// cheap (BackendPref::kAuto consults the engine's cost_hint()).
+  kExact = 0,  ///< the default
   kApprox = 1,
-  /// Latency over accuracy: like kApprox, and the preferred hedge winner.
   kFast = 2,
 };
 
-/// Which backend a query wants, before tier/eligibility resolution.
+/// Which backend a query names. Accepted for wire compatibility; every
+/// value is answered on the snapshot's one factor.
 enum class BackendPref : std::uint8_t {
-  /// Resolve from the accuracy tier: kExact keeps the batch's RouteMode;
-  /// kApprox/kFast take a resident block engine when the query is
-  /// engine-eligible and the engine's cost_hint() is under
-  /// kAutoEngineCostCeiling, else the batch RouteMode's exact flavour.
   kAuto = 0,
-  kSharded = 1,     ///< force the exact sharded two-level path
-  kMonolithic = 2,  ///< whole-system factor; sharded when not built
-  kLocalApprox = 3, ///< block-local engine; exact fallback when ineligible
+  kSharded = 1,
+  kMonolithic = 2,
+  kLocalApprox = 3,
 };
 
 /// Per-query serving policy. The default value is the no-policy policy:
-/// no deadline, exact tier, auto backend, no hedging — bit-identical to
-/// the pre-policy front-end on every route mode.
+/// no deadline, exact tier, auto backend, no hedging.
 struct QueryPolicy {
   /// Queueing budget in microseconds; 0 = none. A query whose deadline is
   /// <= the batch's AnswerContext::queue_wait_us reports kDeadlineMiss
@@ -54,18 +47,9 @@ struct QueryPolicy {
   std::uint32_t deadline_us = 0;
   AccuracyTier accuracy_tier = AccuracyTier::kExact;
   BackendPref backend_pref = BackendPref::kAuto;
-  /// Race the block-local engine against the exact path (both legs are
-  /// evaluated; a pure selection rule picks the winner). Only engages for
-  /// engine-eligible queries.
+  /// Accepted for wire compatibility; selects nothing.
   bool hedge = false;
 };
-
-/// True when `p` asks for anything beyond the default no-policy behaviour
-/// (the front-end keeps the legacy fast path for all-default batches).
-[[nodiscard]] constexpr bool is_default(const QueryPolicy& p) {
-  return p.deadline_us == 0 && p.accuracy_tier == AccuracyTier::kExact &&
-         p.backend_pref == BackendPref::kAuto && !p.hedge;
-}
 
 /// Per-query outcome reported through AnswerContext::statuses.
 enum class QueryStatus : std::uint8_t {
@@ -73,22 +57,6 @@ enum class QueryStatus : std::uint8_t {
   kInvalid = 1,       ///< unmapped / eliminated endpoint (answer NaN)
   kDeadlineMiss = 2,  ///< deadline expired before evaluation (answer NaN)
 };
-
-/// BackendPref::kAuto routes an engine-eligible kApprox/kFast query to the
-/// resident block engine only when the engine's cost_hint() is at or under
-/// this ceiling — a dense-factor "exact" block engine is not a shortcut.
-inline constexpr double kAutoEngineCostCeiling = 16.0;
-
-/// Deterministic hedge selection: which leg's answer a hedged query takes,
-/// as a pure function of (tier, the engine leg's value). kExact always
-/// takes the exact leg; kApprox/kFast take the engine leg whenever it
-/// produced a value (non-NaN), falling back to the exact leg. Exposed so
-/// tests can run a serial twin through the identical rule.
-[[nodiscard]] constexpr bool hedge_prefers_engine(AccuracyTier tier,
-                                                  real_t engine_value) {
-  // NaN != NaN: a NaN engine leg never wins.
-  return tier != AccuracyTier::kExact && engine_value == engine_value;
-}
 
 const char* to_string(AccuracyTier tier);
 const char* to_string(BackendPref pref);

@@ -1,15 +1,23 @@
 // Shared fixtures of the serving test suites (test_serving.cpp,
-// test_async_updater.cpp, test_result_cache.cpp): a small gridded
-// ConductanceNetwork with random ports/pad shunts, mixed
-// response/resistance query batches over its surviving nodes, the
+// test_async_updater.cpp, test_result_cache.cpp, test_query_policy.cpp,
+// test_net_daemon.cpp): a small gridded ConductanceNetwork with random
+// ports/pad shunts, mixed response/resistance query batches over its
+// surviving nodes, the independent solve_dc reference answers, the
 // AsyncUpdater<->IncrementalReducer wiring, and deterministic
 // modification streams.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "pg/analysis.hpp"
 #include "pg/incremental.hpp"
 #include "reduction/pipeline.hpp"
 #include "serve/async_updater.hpp"
@@ -70,6 +78,65 @@ inline std::vector<PortQuery> mixed_batch(const std::vector<index_t>& nodes,
     batch.push_back(query);
   }
   return batch;
+}
+
+/// Independent exact reference for a batch on `model`: every query is its
+/// own solve_dc on the stitched network (a fresh factorization, a dense
+/// right-hand side), never the serving snapshot. Response Z(p, q) is the
+/// drop at q under a unit injection at p; resistance R(p, q) is the drop
+/// difference under +1 at p, -1 at q. Eliminated or out-of-range
+/// endpoints answer NaN, like the front-end.
+inline std::vector<real_t> dc_reference(const ReducedModel& model,
+                                        const std::vector<PortQuery>& batch) {
+  const auto reduced = [&model](index_t v) {
+    return v >= 0 && static_cast<std::size_t>(v) < model.node_map.size()
+               ? model.node_map[static_cast<std::size_t>(v)]
+               : index_t{-1};
+  };
+  std::vector<real_t> out;
+  out.reserve(batch.size());
+  for (const PortQuery& query : batch) {
+    const index_t p = reduced(query.p), q = reduced(query.q);
+    if (p < 0 || q < 0) {
+      out.push_back(std::numeric_limits<real_t>::quiet_NaN());
+      continue;
+    }
+    std::vector<real_t> inject(
+        static_cast<std::size_t>(model.network.num_nodes()), 0.0);
+    inject[static_cast<std::size_t>(p)] += 1.0;
+    if (query.kind == QueryKind::kResistance)
+      inject[static_cast<std::size_t>(q)] -= 1.0;
+    const std::vector<real_t> d = solve_dc(model.network, inject).drops;
+    out.push_back(query.kind == QueryKind::kResponse
+                      ? d[static_cast<std::size_t>(q)]
+                      : d[static_cast<std::size_t>(p)] -
+                            d[static_cast<std::size_t>(q)]);
+  }
+  return out;
+}
+
+/// Every answer within 1e-8 relative of the reference (NaN where the
+/// reference is NaN).
+inline void expect_matches_reference(const std::vector<real_t>& got,
+                                     const std::vector<real_t>& want,
+                                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << what << " query " << i;
+      continue;
+    }
+    EXPECT_LE(std::abs(got[i] - want[i]), 1e-8 * std::abs(want[i]))
+        << what << " query " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+/// Bitwise equality of two answer vectors (NaN payloads included).
+inline bool same_bits(const std::vector<real_t>& a,
+                      const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0);
 }
 
 /// The AsyncUpdater <-> IncrementalReducer wiring used throughout: the

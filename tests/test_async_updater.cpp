@@ -3,9 +3,9 @@
 //   (a) streaming concurrent modification batches against concurrent query
 //       batches keeps every pinned version internally bit-consistent (all
 //       answers of a version identical however often it is queried),
-//   (b) a dirty-only snapshot rebuild (ModelSnapshot::rebuild /
-//       IncrementalReducer's incremental publish) is bitwise identical to
-//       a full rebuild of the same model, at 1/2/4/8 threads,
+//   (b) every version published under churn answers within 1e-8 of the
+//       independent solve_dc reference, bitwise identically at 1/2/4/8
+//       threads,
 //   (c) coalesced batches converge to the same final model as applying the
 //       same modifications sequentially.
 //
@@ -36,107 +36,53 @@ namespace {
 // with test_serving.cpp and test_result_cache.cpp).
 
 // ---------------------------------------------------------------------------
-// (b) dirty-only rebuild == full rebuild, bitwise, across thread counts.
+// (b) every published version == the dc reference, bitwise across threads.
 // ---------------------------------------------------------------------------
 
-TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
+TEST(IncrementalPublish, EveryVersionMatchesTheDcReferenceAtAnyThreadCount) {
   const ServeCase c = make_case(22, 22, 56, 211);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  const auto batch_nodes = [&] {
-    IncrementalReducer probe(c.net, c.ports, opts);
-    return kept_originals(probe.model());
-  }();
-  const auto batch = mixed_batch(batch_nodes, 300, 23);
+  constexpr int kMods = 3;
 
-  std::vector<std::vector<real_t>> per_thread_answers;
+  // version -> the 1-thread answers, which every other thread count must
+  // reproduce bit for bit.
+  std::map<std::uint64_t, std::vector<real_t>> serial;
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ReductionOptions topts = opts;
     topts.parallel.num_threads = threads;
+    ModelStore store;
     IncrementalReducer reducer(c.net, c.ports, topts);
+    reducer.attach_store(&store);
     ThreadPool pool(threads);
     ThreadPool* p = threads > 1 ? &pool : nullptr;
+    const auto batch = mixed_batch(kept_originals(reducer.model()), 300, 23);
+    const ModStream stream =
+        make_mod_stream(c.net, reducer.structure(), kMods, 0.25, 1.3, 300);
 
-    auto prev = ModelSnapshot::build(reducer.blocks(), reducer.model(), {},
-                                     p, reducer.revision());
-    EXPECT_EQ(prev->reused_blocks(), 0);
-    EXPECT_EQ(prev->rebuilt_blocks(), prev->num_blocks());
-
-    ConductanceNetwork current = c.net;
-    std::vector<real_t> final_answers;
-    for (int u = 1; u <= 3; ++u) {
-      const GridModification mod = random_modification(
-          reducer.structure().num_blocks, 0.25, 1.3,
-          static_cast<std::uint64_t>(300 + u));
-      current = apply_modification(current, reducer.structure(), mod);
-      reducer.update(current, mod.dirty_blocks);
-
-      const auto full = ModelSnapshot::build(
-          reducer.blocks(), reducer.model(), {}, p, reducer.revision());
-      const auto incr = ModelSnapshot::rebuild(
-          *prev, reducer.blocks(), reducer.model(), mod.dirty_blocks, p,
-          reducer.revision());
-      ASSERT_GT(incr->reused_blocks(), 0);
-      EXPECT_EQ(incr->reused_blocks() + incr->rebuilt_blocks(),
-                incr->num_blocks());
-      EXPECT_EQ(full->num_boundary_nodes(), incr->num_boundary_nodes());
-
-      // Bitwise equality on both exact routes (the monolithic factor is
-      // rebuilt either way; the sharded one mixes reused + fresh factors).
-      for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
-        const auto want = QueryFrontEnd::answer_on(*full, batch, {p, mode});
-        const auto got = QueryFrontEnd::answer_on(*incr, batch, {p, mode});
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_EQ(want[i], got[i])
-              << to_string(mode) << " query " << i << " update " << u;
+    // Publish through the updater one modification at a time, so every
+    // version of the stream reaches the store.
+    AsyncUpdater updater(bind_reducer(reducer));
+    for (int u = 0; u <= kMods; ++u) {
+      if (u > 0) {
+        updater.submit(stream.nets[static_cast<std::size_t>(u - 1)],
+                       stream.mods[static_cast<std::size_t>(u - 1)]
+                           .dirty_blocks);
+        updater.flush();
       }
-      prev = incr;
-      if (u == 3) final_answers = QueryFrontEnd::answer_on(*prev, batch);
+      const SnapshotPtr snap = store.acquire();
+      ASSERT_EQ(snap->version(), static_cast<std::uint64_t>(u));
+      const auto got = QueryFrontEnd::answer_on(*snap, batch, {p});
+      if (threads == 1) {
+        expect_matches_reference(got, dc_reference(snap->model(), batch),
+                                 "version " + std::to_string(u));
+        serial[snap->version()] = got;
+      } else {
+        EXPECT_TRUE(same_bits(got, serial.at(snap->version())))
+            << "version " << u;
+      }
     }
-    per_thread_answers.push_back(std::move(final_answers));
-  }
-  // The whole chain is also thread-count independent.
-  for (std::size_t t = 1; t < per_thread_answers.size(); ++t) {
-    ASSERT_EQ(per_thread_answers[0].size(), per_thread_answers[t].size());
-    for (std::size_t i = 0; i < per_thread_answers[0].size(); ++i)
-      ASSERT_EQ(per_thread_answers[0][i], per_thread_answers[t][i])
-          << "thread sweep " << t << " query " << i;
-  }
-}
-
-TEST(ModelSnapshotRebuild, IncrementalPublishMatchesFullPublish) {
-  // The store-attached reducer publishes dirty-only rebuilds; a twin with
-  // incremental_publish disabled must publish bitwise-identical snapshots.
-  const ServeCase c = make_case(20, 20, 48, 223);
-  ReductionOptions opts;
-  opts.num_blocks = 8;
-  ModelStore store_incr, store_full;
-  IncrementalReducer incr(c.net, c.ports, opts);
-  IncrementalReducer full(c.net, c.ports, opts);
-  ServingOptions sopts;
-  ServingOptions full_opts;
-  full_opts.incremental_publish = false;
-  incr.attach_store(&store_incr, sopts);
-  full.attach_store(&store_full, full_opts);
-
-  const auto batch = mixed_batch(kept_originals(incr.model()), 200, 31);
-  const ModStream stream =
-      make_mod_stream(c.net, incr.structure(), 3, 0.2, 1.4, 500);
-  for (std::size_t u = 0; u < stream.nets.size(); ++u) {
-    incr.update(stream.nets[u], stream.mods[u].dirty_blocks);
-    full.update(stream.nets[u], stream.mods[u].dirty_blocks);
-
-    const SnapshotPtr si = store_incr.acquire();
-    const SnapshotPtr sf = store_full.acquire();
-    EXPECT_EQ(si->version(), sf->version());
-    EXPECT_GT(si->reused_blocks(), 0);
-    EXPECT_EQ(sf->reused_blocks(), 0);
-    const auto want = QueryFrontEnd::answer_on(*sf, batch);
-    const auto got = QueryFrontEnd::answer_on(*si, batch);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
   }
 }
 
@@ -193,10 +139,9 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   EXPECT_EQ(updater.mods_reflected(published->version()),
             static_cast<std::uint64_t>(kMods));
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;
+  EXPECT_TRUE(same_bits(want, got));
 }
 
 TEST(AsyncUpdater, FlushDrainAndErrorContracts) {
@@ -240,10 +185,11 @@ TEST(AsyncUpdater, FlushDrainAndErrorContracts) {
   }
 }
 
-TEST(ModelSnapshotRebuild, FailedUpdateDisarmsDirtyOnlyRebuild) {
-  // A throwing update() must not leave the previous published snapshot
-  // armed as a dirty-only reuse source: the next successful publish falls
-  // back to a full build (reused_blocks == 0) and stays correct.
+TEST(IncrementalPublish, FailedUpdateDisarmsCopyOnWriteStitch) {
+  // A throwing update() must not leave the previous model version armed
+  // as the copy-on-write stitch source: the recovery update re-stitches
+  // from the block cache alone, and the one after it carries node slices
+  // again. Every publish stays exact.
   const ServeCase c = make_case(16, 16, 24, 239);
   ReductionOptions opts;
   opts.num_blocks = 4;
@@ -259,29 +205,20 @@ TEST(ModelSnapshotRebuild, FailedUpdateDisarmsDirtyOnlyRebuild) {
   const ConductanceNetwork modified =
       apply_modification(c.net, reducer.structure(), mod);
   reducer.update(modified, mod.dirty_blocks);
-  const SnapshotPtr snap = store.acquire();
-  EXPECT_EQ(snap->reused_blocks(), 0);  // full-build fallback
-  // The failed update also disarmed the copy-on-write stitch: the
-  // recovery update re-stitched the model from the block cache alone.
   EXPECT_EQ(reducer.model().stats.stitch_reused_blocks, 0);
 
-  // And the fallback publish re-arms reuse: the next update is dirty-only
-  // again (snapshot artifacts and model node slices) and still bitwise
-  // equal to a from-scratch build.
   const GridModification mod2 =
       random_modification(reducer.structure().num_blocks, 0.25, 1.1, 257);
   const ConductanceNetwork modified2 =
       apply_modification(modified, reducer.structure(), mod2);
   reducer.update(modified2, mod2.dirty_blocks);
-  const SnapshotPtr snap2 = store.acquire();
-  EXPECT_GT(snap2->reused_blocks(), 0);
   EXPECT_GT(reducer.model().stats.stitch_reused_blocks, 0);
+  const SnapshotPtr snap = store.acquire();
+  EXPECT_EQ(&snap->model(), &reducer.model());
   const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 61);
-  const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(reducer.blocks(), reducer.model()), batch);
-  const auto got = QueryFrontEnd::answer_on(*snap2, batch);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;
+  expect_matches_reference(QueryFrontEnd::answer_on(*snap, batch),
+                           dc_reference(reducer.model(), batch),
+                           "after recovery");
 }
 
 TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
@@ -319,7 +256,7 @@ TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
 // path at any thread count.
 // ---------------------------------------------------------------------------
 
-TEST(ModelSnapshotRebuild, ZeroCopyMatchesDeepCopyPublishBitwise) {
+TEST(IncrementalPublish, ZeroCopyMatchesDeepCopyPublishBitwise) {
   const ServeCase c = make_case(20, 20, 48, 269);
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -358,11 +295,9 @@ TEST(ModelSnapshotRebuild, ZeroCopyMatchesDeepCopyPublishBitwise) {
       EXPECT_EQ(ss->model_bytes_copied(), 0u);
       EXPECT_GT(sd->model_bytes_copied(), 0u);
       EXPECT_LT(ss->bytes_materialized(), sd->bytes_materialized());
-      const auto want = QueryFrontEnd::answer_on(*sd, batch);
-      const auto got = QueryFrontEnd::answer_on(*ss, batch);
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
+      EXPECT_TRUE(same_bits(QueryFrontEnd::answer_on(*sd, batch),
+                            QueryFrontEnd::answer_on(*ss, batch)))
+          << "update " << u;
     }
   }
 }
@@ -601,7 +536,8 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_EQ(s.batches + s.coalesced, s.applied);
 
   // After the stream settles, the final model equals a sequential replay,
-  // and the published snapshot is bitwise a full rebuild of it.
+  // and the published snapshot answers bitwise like a fresh build of it
+  // and within 1e-8 of the dc reference.
   IncrementalReducer twin(c.net, c.ports, opts);
   for (int u = 0; u < kMods; ++u)
     twin.update(nets[static_cast<std::size_t>(u)],
@@ -609,10 +545,10 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   const SnapshotPtr published = store.acquire();
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;
+  EXPECT_TRUE(same_bits(want, got));
+  expect_matches_reference(got, dc_reference(twin.model(), batch), "final");
 }
 
 // Stats is a thin view over the updater's registry (er_updater_* —

@@ -100,11 +100,12 @@ TEST(NetDaemon, AnswersMatchDirectCalls) {
   EXPECT_EQ(result.snapshot_version, direct_stats.snapshot_version);
   expect_bitwise_equal(result.answers, direct);
 
-  // The monolithic route answers over the same wire too.
-  const std::vector<real_t> direct_mono =
-      d->stack.frontend().answer(batch, nullptr, RouteMode::kMonolithic);
-  const auto mono = client.query(batch, RouteMode::kMonolithic);
-  expect_bitwise_equal(mono.answers, direct_mono);
+  // Every route byte answers over the same wire, bitwise alike, within
+  // 1e-8 of the independent solve_dc reference.
+  for (RouteMode route : {RouteMode::kMonolithic, RouteMode::kLocalApprox})
+    expect_bitwise_equal(client.query(batch, route).answers, direct);
+  expect_matches_reference(
+      direct, dc_reference(d->stack.reducer().model(), batch), "wire");
 }
 
 TEST(NetDaemon, PortResponseOpcodeForcesResponseKind) {
@@ -204,11 +205,15 @@ TEST(NetDaemon, ConcurrentClientsBitwiseEqualUnderChurn) {
     batch = mixed_batch(kept_originals(ref_reducer.model()), 12, 44);
     stream = make_mod_stream(fixture.net, ref_reducer.structure(), kMods,
                              0.25, 1.2, 77);
-    ref.push_back(ref_frontend.answer(batch));
-    for (int u = 0; u < kMods; ++u) {
-      ref_reducer.update(stream.nets[static_cast<std::size_t>(u)],
-                         stream.mods[static_cast<std::size_t>(u)].dirty_blocks);
+    for (int u = 0; u <= kMods; ++u) {
+      if (u > 0)
+        ref_reducer.update(
+            stream.nets[static_cast<std::size_t>(u - 1)],
+            stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       ref.push_back(ref_frontend.answer(batch));
+      expect_matches_reference(ref.back(),
+                               dc_reference(ref_reducer.model(), batch),
+                               "after " + std::to_string(u) + " mods");
     }
   }
 

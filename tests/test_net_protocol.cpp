@@ -25,6 +25,13 @@ std::vector<std::uint8_t> u32_bytes(std::uint32_t v) {
   return out;
 }
 
+/// True when `p` is the default (no-policy) QueryPolicy a v1 frame
+/// decodes to.
+bool is_default(const QueryPolicy& p) {
+  return p.deadline_us == 0 && p.accuracy_tier == AccuracyTier::kExact &&
+         p.backend_pref == BackendPref::kAuto && !p.hedge;
+}
+
 /// A double with a fully random bit pattern, nudged away from NaN/Inf so
 /// == comparison is the same as bit comparison.
 double random_finite(Rng& rng) {

@@ -1,25 +1,25 @@
 // Per-query QueryPolicy tests (DESIGN.md §4.3). The pinned contracts:
 //
-//   (a) hedged queries answer bitwise-identically to a serial two-backend
-//       twin (each leg evaluated un-hedged, winner picked with the pure
-//       selection rule in serve/query_policy.hpp) at 1/2/4/8 threads
-//       (runs under TSan in CI),
-//   (b) the result cache keys on the accuracy tier: a fast-tier cached
-//       answer never serves an exact-tier probe,
+//   (a) every tier / backend preference / hedge bit is answered exactly on
+//       the snapshot's one factor: bitwise the default-policy answers at
+//       1/2/4/8 threads and within 1e-8 of the solve_dc reference (runs
+//       under TSan in CI),
+//   (b) the result cache keys on (version, kind, pair) only: an answer
+//       cached for one tier serves a probe of any other, bitwise,
 //   (c) deadline-expired queries answer NaN with QueryStatus::kDeadlineMiss
 //       without blocking the rest of the batch — expiry is a pure function
 //       of (policy.deadline_us, AnswerContext::queue_wait_us), never of a
 //       clock read,
-//   (d) old-version (v1) wire frames decode with every policy defaulted
-//       and answer exactly as before policies existed,
-//   (e) backend preferences resolve as documented: kMonolithic degrades to
-//       sharded without the whole-system factor, kAuto diverts reduced
-//       tiers to cheap resident engines, and the admission queue
-//       dispatches deadline-urgent items first.
+//   (d) old-version (v1) wire frames decode with every policy defaulted,
+//       and every route / backend / tier / hedge byte on v1 and v2 frames
+//       answers bitwise like answer_on on the same snapshot,
+//   (e) the admission queue dispatches deadline-urgent items first.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "net/admission.hpp"
@@ -37,88 +37,61 @@
 namespace er {
 namespace {
 
-/// Mixed batch with hedged fast-tier policies on every resistance query
-/// (the response queries keep the default policy, so the batch mixes
-/// policied and default slots like real traffic would).
-std::vector<PortQuery> hedged_batch(const std::vector<index_t>& kept,
-                                    std::size_t count, std::uint64_t seed) {
-  std::vector<PortQuery> batch = mixed_batch(kept, count, seed);
-  for (PortQuery& query : batch)
-    if (query.kind == QueryKind::kResistance) {
-      query.policy.accuracy_tier = AccuracyTier::kFast;
-      query.policy.hedge = true;
-    }
-  return batch;
-}
-
 // ---------------------------------------------------------------------------
-// (a) hedged == serial two-backend twin, bitwise, at any thread count.
+// (a) every policy is answered exactly, bitwise at any thread count.
 // ---------------------------------------------------------------------------
 
-TEST(QueryPolicy, HedgedMatchesSerialTwoBackendTwinAcrossThreadCounts) {
+TEST(QueryPolicy, EveryPolicyIsAnsweredExactlyAcrossThreadCounts) {
   const ServeCase c = make_case(24, 24, 64, 401);
   ReductionOptions opts;
   opts.num_blocks = 8;
   const ReductionArtifacts art =
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
-  const auto kept = kept_originals(*art.model);
-  const auto batch = hedged_batch(kept, 400, 11);
+  const auto plain = mixed_batch(kept_originals(*art.model), 480, 11);
 
-  // Serial twin: evaluate each leg through its own un-hedged batch, then
-  // select with the pure rule. Ineligible hedged queries collapse to the
-  // same exact answer on both legs, so the expectation covers every slot.
-  std::vector<PortQuery> engine_leg = batch, exact_leg = batch;
-  for (PortQuery& query : engine_leg) {
-    query.policy.hedge = false;
-    query.policy.backend_pref = BackendPref::kLocalApprox;
+  // Cycle every tier x backend x hedge combination (24 of them) over the
+  // batch, under every batch route: none may change an answer.
+  std::vector<PortQuery> batch = plain;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    QueryPolicy& pol = batch[i].policy;
+    pol.accuracy_tier = static_cast<AccuracyTier>(i % 3);
+    pol.backend_pref = static_cast<BackendPref>((i / 3) % 4);
+    pol.hedge = (i / 12) % 2 == 1;
   }
-  for (PortQuery& query : exact_leg) {
-    query.policy.hedge = false;
-    query.policy.backend_pref = BackendPref::kSharded;
-  }
-  obs::MetricsRegistry twin_reg;
-  const auto engine_answers =
-      QueryFrontEnd::answer_on(*snap, engine_leg,
-                               {nullptr, RouteMode::kSharded, nullptr,
-                                &twin_reg});
-  const auto exact_answers =
-      QueryFrontEnd::answer_on(*snap, exact_leg,
-                               {nullptr, RouteMode::kSharded, nullptr,
-                                &twin_reg});
+  obs::MetricsRegistry plain_reg;
+  const auto want = QueryFrontEnd::answer_on(
+      *snap, plain, {nullptr, RouteMode::kSharded, nullptr, &plain_reg});
+  expect_matches_reference(want, dc_reference(*art.model, plain), "plain");
 
   for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    obs::MetricsRegistry reg;
-    std::optional<ThreadPool> pool;
-    if (threads > 1) pool.emplace(threads, &reg);
-    BatchStats stats;
-    const auto answers = QueryFrontEnd::answer_on(
-        *snap, batch,
-        {pool ? &*pool : nullptr, RouteMode::kSharded, &stats, &reg});
-    ASSERT_EQ(answers.size(), batch.size());
-    EXPECT_GT(stats.hedged, 0u);  // hedging actually engaged
-    // Fast-tier hedges always select the engine leg when it ran (the
-    // selection rule prefers any reduced-tier engine value).
-    EXPECT_EQ(stats.hedge_won_engine, stats.hedged);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!batch[i].policy.hedge) continue;
-      const real_t want =
-          hedge_prefers_engine(batch[i].policy.accuracy_tier,
-                               engine_answers[i])
-              ? engine_answers[i]
-              : exact_answers[i];
-      const bool both_nan = std::isnan(answers[i]) && std::isnan(want);
-      ASSERT_TRUE(answers[i] == want || both_nan) << "query " << i;
+    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
+                           RouteMode::kLocalApprox}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " " +
+                   to_string(mode));
+      obs::MetricsRegistry reg;
+      std::optional<ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads, &reg);
+      BatchStats stats;
+      const auto answers = QueryFrontEnd::answer_on(
+          *snap, batch, {pool ? &*pool : nullptr, mode, &stats, &reg});
+      EXPECT_TRUE(same_bits(answers, want));
+      // Per-tier tallies cover every answered query.
+      std::uint64_t served = 0;
+      for (const char* tier : {"exact", "approx", "fast"})
+        served +=
+            reg.snapshot().find("er_policy_served_total", {{"tier", tier}})
+                ->counter;
+      EXPECT_EQ(served, batch.size() - stats.invalid);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// (b) cache entries are keyed by accuracy tier.
+// (b) cache entries serve every tier.
 // ---------------------------------------------------------------------------
 
-TEST(QueryPolicy, FastTierCacheEntriesNeverServeExactTierProbes) {
+TEST(QueryPolicy, CachedAnswersServeEveryTier) {
   const ServeCase c = make_case(20, 20, 48, 409);
   ReductionOptions opts;
   opts.num_blocks = 6;
@@ -132,7 +105,7 @@ TEST(QueryPolicy, FastTierCacheEntriesNeverServeExactTierProbes) {
   const QueryFrontEnd frontend(&store, &reg);
 
   // Distinct consecutive kept-node pairs: every key is inserted at most
-  // once per tier, so hit/miss counts are exact (no intra-batch repeats).
+  // once, so hit/miss counts are exact (no intra-batch repeats).
   const auto kept = kept_originals(reducer.model());
   std::vector<PortQuery> fast;
   for (std::size_t i = 0; i + 1 < kept.size() && fast.size() < 120; i += 2) {
@@ -149,34 +122,18 @@ TEST(QueryPolicy, FastTierCacheEntriesNeverServeExactTierProbes) {
   for (PortQuery& query : exact)
     query.policy.accuracy_tier = AccuracyTier::kExact;
 
-  // Warm the fast tier, then confirm it hits itself.
-  BatchStats warm, fast_again;
-  (void)frontend.answer(fast, {nullptr, RouteMode::kSharded, &warm});
+  // Warm the fast tier; the exact-tier probe of the same (kind, p, q)
+  // keys then hits fully — every tier's answer is the exact one.
+  BatchStats warm, exact_probe;
+  const auto fast_answers =
+      frontend.answer(fast, {nullptr, RouteMode::kSharded, &warm});
   EXPECT_EQ(warm.cache_hits, 0u);
-  EXPECT_GT(warm.cache_misses, 0u);
-  (void)frontend.answer(fast, {nullptr, RouteMode::kSharded, &fast_again});
-  EXPECT_EQ(fast_again.cache_misses, 0u);
-  EXPECT_EQ(fast_again.cache_hits, warm.cache_misses);
-
-  // The exact-tier probe of the same (kind, p, q) keys must miss through:
-  // a reduced-tier answer can never serve an exact-tier query.
-  BatchStats exact_probe;
+  EXPECT_EQ(warm.cache_misses, fast.size());
   const auto exact_answers =
       frontend.answer(exact, {nullptr, RouteMode::kSharded, &exact_probe});
-  EXPECT_EQ(exact_probe.cache_hits, 0u);
-  EXPECT_GT(exact_probe.cache_misses, 0u);
-
-  // And the tier-keyed entries coexist: both tiers now hit fully.
-  BatchStats exact_again;
-  const auto exact_cached =
-      frontend.answer(exact, {nullptr, RouteMode::kSharded, &exact_again});
-  EXPECT_EQ(exact_again.cache_misses, 0u);
-  for (std::size_t i = 0; i < exact_answers.size(); ++i) {
-    const bool both_nan =
-        std::isnan(exact_answers[i]) && std::isnan(exact_cached[i]);
-    ASSERT_TRUE(exact_answers[i] == exact_cached[i] || both_nan)
-        << "query " << i;
-  }
+  EXPECT_EQ(exact_probe.cache_misses, 0u);
+  EXPECT_EQ(exact_probe.cache_hits, exact.size());
+  EXPECT_TRUE(same_bits(fast_answers, exact_answers));
 }
 
 // ---------------------------------------------------------------------------
@@ -226,9 +183,7 @@ TEST(QueryPolicy, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
         ++misses;
       } else {
         // The rest of the batch answers exactly as the deadline-free twin.
-        const bool both_nan =
-            std::isnan(answers[i]) && std::isnan(reference[i]);
-        ASSERT_TRUE(answers[i] == reference[i] || both_nan)
+        ASSERT_TRUE(same_bits({answers[i]}, {reference[i]}))
             << "query " << i;
         EXPECT_NE(statuses[i], QueryStatus::kDeadlineMiss) << "query " << i;
       }
@@ -280,7 +235,11 @@ TEST(QueryPolicy, OldVersionWireFramesAnswerWithDefaultPolicy) {
   for (std::size_t i = 0; i < decoded.queries.size(); ++i) {
     EXPECT_EQ(decoded.queries[i].p, req.queries[i].p);
     EXPECT_EQ(decoded.queries[i].q, req.queries[i].q);
-    EXPECT_TRUE(is_default(decoded.queries[i].policy)) << "query " << i;
+    const QueryPolicy& pol = decoded.queries[i].policy;
+    EXPECT_TRUE(pol.deadline_us == 0 &&
+                pol.accuracy_tier == AccuracyTier::kExact &&
+                pol.backend_pref == BackendPref::kAuto && !pol.hedge)
+        << "query " << i;
   }
 
   // A v2 round-trip preserves the policies verbatim.
@@ -294,8 +253,8 @@ TEST(QueryPolicy, OldVersionWireFramesAnswerWithDefaultPolicy) {
     EXPECT_TRUE(pol.hedge);
   }
 
-  // Default-policy batches take the exact pre-policy serving path, so a
-  // v1 client's answers are bitwise those of the policy-free library call.
+  // Policies select no code, so a v1 client's answers are bitwise those of
+  // the policy-free library call.
   const ServeCase c = make_case(16, 16, 24, 421);
   ReductionOptions opts;
   opts.num_blocks = 4;
@@ -307,102 +266,50 @@ TEST(QueryPolicy, OldVersionWireFramesAnswerWithDefaultPolicy) {
   std::vector<PortQuery> wire_twin = batch;  // what a v1 decode yields
   for (PortQuery& query : wire_twin) query.policy = QueryPolicy{};
   const auto want = QueryFrontEnd::answer_on(*snap, batch);
-  const auto got = QueryFrontEnd::answer_on(*snap, wire_twin);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const bool both_nan = std::isnan(want[i]) && std::isnan(got[i]);
-    ASSERT_TRUE(want[i] == got[i] || both_nan) << "query " << i;
-  }
+  EXPECT_TRUE(same_bits(want, QueryFrontEnd::answer_on(*snap, wire_twin)));
+
+  // Every route byte x backend x tier x hedge bit, framed at v1 and v2,
+  // decodes and answers bitwise like answer_on on the same snapshot: none
+  // of those bytes selects a solve path.
+  for (const std::uint16_t version :
+       {net::kMinProtocolVersion, net::kProtocolVersion})
+    for (int route = 0; route < 3; ++route)
+      for (int pref = 0; pref < 4; ++pref)
+        for (int tier = 0; tier < 3; ++tier)
+          for (int hedge = 0; hedge < 2; ++hedge) {
+            const QueryPolicy policy{0, static_cast<AccuracyTier>(tier),
+                                     static_cast<BackendPref>(pref),
+                                     hedge == 1};
+            net::QueryBatchRequest sent;
+            sent.route = static_cast<RouteMode>(route);
+            SCOPED_TRACE("v" + std::to_string(version) + " route " +
+                         to_string(sent.route) + " pref " +
+                         to_string(policy.backend_pref) + " tier " +
+                         to_string(policy.accuracy_tier) + " hedge " +
+                         std::to_string(hedge));
+            sent.queries = batch;
+            for (PortQuery& query : sent.queries) query.policy = policy;
+            const auto bytes = net::encode_frame(
+                net::Opcode::kErBatch, 7,
+                net::encode_query_batch(sent, version), version);
+            net::FrameBuffer buf;
+            buf.append(bytes.data(), bytes.size());
+            net::Frame wire;
+            ASSERT_EQ(buf.next(&wire), net::DecodeStatus::kOk);
+            net::QueryBatchRequest got;
+            ASSERT_TRUE(
+                net::decode_query_batch(wire.payload, &got, wire.version));
+            EXPECT_EQ(got.route, sent.route);
+            AnswerContext ctx;
+            ctx.mode = got.route;
+            EXPECT_TRUE(same_bits(
+                QueryFrontEnd::answer_on(*snap, got.queries, ctx), want));
+          }
 }
 
 // ---------------------------------------------------------------------------
-// (e) backend preference resolution + deadline-urgent admission.
+// (e) deadline-urgent admission.
 // ---------------------------------------------------------------------------
-
-TEST(QueryPolicy, MonolithicPreferenceDegradesWithoutTheFactor) {
-  const ServeCase c = make_case(16, 16, 24, 431);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  ServingOptions with, without;
-  without.build_monolithic_factor = false;
-  const auto full = ModelSnapshot::build(art, with);
-  const auto lean = ModelSnapshot::build(art, without);
-
-  const auto kept = kept_originals(*art.model);
-  std::vector<PortQuery> batch = mixed_batch(kept, 80, 29);
-  for (PortQuery& query : batch)
-    query.policy.backend_pref = BackendPref::kMonolithic;
-
-  // With the factor: per-query kMonolithic matches the batch-level route.
-  const auto mono_batch = QueryFrontEnd::answer_on(
-      *full, mixed_batch(kept, 80, 29), {nullptr, RouteMode::kMonolithic});
-  const auto per_query = QueryFrontEnd::answer_on(*full, batch);
-  for (std::size_t i = 0; i < per_query.size(); ++i) {
-    const bool both_nan =
-        std::isnan(per_query[i]) && std::isnan(mono_batch[i]);
-    ASSERT_TRUE(per_query[i] == mono_batch[i] || both_nan) << "query " << i;
-  }
-
-  // Without it: the per-query preference degrades to sharded (a
-  // batch-level kMonolithic still throws — pinned in test_serving.cpp).
-  const auto sharded = QueryFrontEnd::answer_on(
-      *lean, mixed_batch(kept, 80, 29), {nullptr, RouteMode::kSharded});
-  const auto degraded = QueryFrontEnd::answer_on(*lean, batch);
-  for (std::size_t i = 0; i < degraded.size(); ++i) {
-    const bool both_nan =
-        std::isnan(degraded[i]) && std::isnan(sharded[i]);
-    ASSERT_TRUE(degraded[i] == sharded[i] || both_nan) << "query " << i;
-  }
-}
-
-TEST(QueryPolicy, AutoDivertsReducedTiersToCheapEngines) {
-  const ServeCase c = make_case(20, 20, 48, 433);
-  ReductionOptions opts;
-  opts.num_blocks = 6;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
-  const auto kept = kept_originals(*art.model);
-
-  // kAuto + kApprox routes engine-eligible queries exactly like an
-  // explicit kLocalApprox preference (the resident engines advertise
-  // cost hints below kAutoEngineCostCeiling).
-  std::vector<PortQuery> auto_batch = mixed_batch(kept, 200, 31);
-  for (PortQuery& query : auto_batch)
-    query.policy.accuracy_tier = AccuracyTier::kApprox;
-  std::vector<PortQuery> engine_batch = auto_batch;
-  for (PortQuery& query : engine_batch)
-    query.policy.backend_pref = BackendPref::kLocalApprox;
-
-  BatchStats auto_stats;
-  const auto auto_answers = QueryFrontEnd::answer_on(
-      *snap, auto_batch, {nullptr, RouteMode::kSharded, &auto_stats});
-  const auto engine_answers =
-      QueryFrontEnd::answer_on(*snap, engine_batch);
-  EXPECT_GT(auto_stats.engine_answered, 0u);
-  for (std::size_t i = 0; i < auto_answers.size(); ++i) {
-    const bool both_nan =
-        std::isnan(auto_answers[i]) && std::isnan(engine_answers[i]);
-    ASSERT_TRUE(auto_answers[i] == engine_answers[i] || both_nan)
-        << "query " << i;
-  }
-
-  // kAuto + kExact keeps the batch route untouched — bitwise the
-  // pre-policy sharded answers.
-  std::vector<PortQuery> exact_batch = mixed_batch(kept, 200, 31);
-  for (PortQuery& query : exact_batch)
-    query.policy.deadline_us = 1'000'000;  // policied, but exact tier
-  const auto exact_answers = QueryFrontEnd::answer_on(*snap, exact_batch);
-  const auto plain_answers =
-      QueryFrontEnd::answer_on(*snap, mixed_batch(kept, 200, 31));
-  for (std::size_t i = 0; i < exact_answers.size(); ++i) {
-    const bool both_nan =
-        std::isnan(exact_answers[i]) && std::isnan(plain_answers[i]);
-    ASSERT_TRUE(exact_answers[i] == plain_answers[i] || both_nan)
-        << "query " << i;
-  }
-}
 
 TEST(QueryPolicy, AdmissionQueueDispatchesUrgentItemsFirst) {
   net::AdmissionQueue<int> queue(3);

@@ -1,6 +1,7 @@
-// Serving subsystem tests (DESIGN.md §4): the sharded domain-decomposition
-// path must agree with the monolithic single-model path, answers must be
-// bit-identical at any thread count, and ModelStore's publish protocol must
+// Serving subsystem tests (DESIGN.md §4): every route answers on the
+// snapshot's one factor within 1e-8 of an independent solve_dc reference,
+// answers must be bit-identical at any thread count, and ModelStore's
+// publish protocol must
 // let queries race with IncrementalReducer updates — every batch answers
 // exactly against the snapshot version it pinned (no torn reads; the
 // concurrent test is part of the CI TSan job).
@@ -26,28 +27,28 @@
 namespace er {
 namespace {
 
-TEST(ModelSnapshot, ShardedMatchesMonolithic) {
+TEST(ModelSnapshot, EveryRouteMatchesTheDcReference) {
   const ServeCase c = make_case(24, 24, 64, 71);
   ReductionOptions opts;
   opts.num_blocks = 8;
   const ReductionArtifacts art =
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
-  ASSERT_GT(snap->num_boundary_nodes(), 0);
 
+  // Both query kinds, checked against solve_dc on the stitched model; the
+  // route names no second solve path, so every route answers bitwise
+  // alike.
   const auto batch = mixed_batch(kept_originals(*art.model), 400, 3);
-  BatchStats sharded_stats, mono_stats;
+  const auto want = dc_reference(*art.model, batch);
+  BatchStats stats;
   const auto sharded = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kSharded, &sharded_stats});
-  const auto mono = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kMonolithic, &mono_stats});
-  ASSERT_EQ(sharded.size(), mono.size());
-  EXPECT_EQ(sharded_stats.invalid, 0u);
-  EXPECT_GT(sharded_stats.cross_block, 0u);  // the batch exercises routing
-  EXPECT_GT(sharded_stats.same_block, 0u);
-  for (std::size_t i = 0; i < sharded.size(); ++i)
-    EXPECT_NEAR(sharded[i], mono[i], 1e-8 * (1.0 + std::abs(mono[i])))
-        << "query " << i;
+      *snap, batch, {nullptr, RouteMode::kSharded, &stats});
+  EXPECT_EQ(stats.invalid, 0u);
+  expect_matches_reference(sharded, want, "sharded");
+  for (RouteMode mode : {RouteMode::kMonolithic, RouteMode::kLocalApprox})
+    EXPECT_TRUE(same_bits(
+        QueryFrontEnd::answer_on(*snap, batch, {nullptr, mode}), sharded))
+        << to_string(mode);
 }
 
 TEST(ModelSnapshot, ResponseMatchesDcSolve) {
@@ -94,10 +95,9 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
   const auto snap = ModelSnapshot::build(art);
   const auto batch = mixed_batch(kept_originals(*art.model), 1500, 5);
 
+  const auto serial = QueryFrontEnd::answer_on(*snap, batch);
   for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
                          RouteMode::kLocalApprox}) {
-    const auto serial =
-        QueryFrontEnd::answer_on(*snap, batch, {nullptr, mode});
     for (int threads : {2, 4, 8}) {
       ThreadPool pool(threads);
       const auto par =
@@ -109,32 +109,6 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
         ASSERT_EQ(serial[i], par[i]) << "query " << i;  // bit-identical
     }
   }
-}
-
-TEST(ModelSnapshot, MonolithicFactorIsOptional) {
-  // Production sharded serving skips the whole-system factor; the sharded
-  // path still answers and the monolithic path refuses loudly.
-  const ServeCase c = make_case(16, 16, 24, 101);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  ServingOptions with, without;
-  without.build_monolithic_factor = false;
-  const auto full = ModelSnapshot::build(art, with);
-  const auto lean = ModelSnapshot::build(art, without);
-  EXPECT_TRUE(full->has_monolithic_factor());
-  EXPECT_FALSE(lean->has_monolithic_factor());
-
-  const auto batch = mixed_batch(kept_originals(*art.model), 100, 19);
-  const auto want = QueryFrontEnd::answer_on(*full, batch);
-  const auto got = QueryFrontEnd::answer_on(*lean, batch);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;  // sharded path unaffected
-  EXPECT_THROW((void)QueryFrontEnd::answer_on(
-                   *lean, batch, {nullptr, RouteMode::kMonolithic}),
-               std::logic_error);
 }
 
 TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
@@ -169,28 +143,6 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   EXPECT_EQ(out[3], 0.0);  // same node: zero resistance
   EXPECT_EQ(stats.invalid, 3u);
   EXPECT_EQ(stats.queries, 4u);
-}
-
-TEST(QueryFrontEnd, LocalApproxRoutesThroughBlockEngines) {
-  const ServeCase c = make_case(24, 24, 64, 89);
-  ReductionOptions opts;
-  opts.num_blocks = 8;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  const auto snap = ModelSnapshot::build(art);
-  const auto batch = mixed_batch(kept_originals(*art.model), 600, 7);
-
-  BatchStats stats;
-  const auto out = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kLocalApprox, &stats});
-  EXPECT_GT(stats.engine_answered, 0u);  // the fast path actually engaged
-  EXPECT_GT(stats.cross_block, 0u);      // and the fallback did too
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(out[i])) << "query " << i;
-    if (batch[i].kind == QueryKind::kResistance) {
-      EXPECT_GE(out[i], 0.0) << "query " << i;
-    }
-  }
 }
 
 TEST(ModelStore, PublishPinsInFlightSnapshots) {
@@ -339,14 +291,14 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 17);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+        *ModelSnapshot::build(twin.model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              100);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+          *ModelSnapshot::build(twin.model()), batch);
     }
   }
 
@@ -411,37 +363,27 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
                         RouteMode::kMonolithic, &s3);
 
   const obs::MetricsSnapshot snap = reg.snapshot();
-  const auto counter = [&snap](const char* name, const char* mode) {
-    const obs::MetricSnapshot* m =
-        snap.find(name, {{"mode", mode}});
+  const auto counter = [&snap](const char* name) {
+    const obs::MetricSnapshot* m = snap.find(name);
     return m ? m->counter : std::uint64_t{0};
   };
-  // Sharded series aggregate exactly the two sharded batches...
-  EXPECT_EQ(counter("er_serve_batches_total", "sharded"), 2u);
-  EXPECT_EQ(counter("er_serve_queries_total", "sharded"),
-            s1.queries + s2.queries);
-  EXPECT_EQ(counter("er_serve_invalid_queries_total", "sharded"),
-            s1.invalid + s2.invalid);
-  EXPECT_EQ(counter("er_serve_same_block_queries_total", "sharded"),
-            s1.same_block + s2.same_block);
-  EXPECT_EQ(counter("er_serve_cross_block_queries_total", "sharded"),
-            s1.cross_block + s2.cross_block);
-  // ...and the monolithic batch lands only in its own labeled series.
-  EXPECT_EQ(counter("er_serve_batches_total", "monolithic"), 1u);
-  EXPECT_EQ(counter("er_serve_queries_total", "monolithic"), s3.queries);
+  // The series aggregate all three batches, whatever route each named.
+  EXPECT_EQ(counter("er_serve_batches_total"), 3u);
+  EXPECT_EQ(counter("er_serve_queries_total"),
+            s1.queries + s2.queries + s3.queries);
+  EXPECT_EQ(counter("er_serve_invalid_queries_total"),
+            s1.invalid + s2.invalid + s3.invalid);
 
   // Every query records exactly one latency sample; every batch exactly
   // one batch-duration sample whose total tracks BatchStats::seconds.
-  const obs::MetricSnapshot* lat =
-      snap.find("er_query_latency_seconds", {{"mode", "sharded"}});
+  const obs::MetricSnapshot* lat = snap.find("er_query_latency_seconds");
   ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->histogram.count, s1.queries + s2.queries);
-  const obs::MetricSnapshot* batch_h =
-      snap.find("er_query_batch_seconds", {{"mode", "sharded"}});
+  EXPECT_EQ(lat->histogram.count, s1.queries + s2.queries + s3.queries);
+  const obs::MetricSnapshot* batch_h = snap.find("er_query_batch_seconds");
   ASSERT_NE(batch_h, nullptr);
-  EXPECT_EQ(batch_h->histogram.count, 2u);
-  EXPECT_NEAR(batch_h->histogram.sum, s1.seconds + s2.seconds,
-              0.5 * (s1.seconds + s2.seconds) + 1e-6);
+  EXPECT_EQ(batch_h->histogram.count, 3u);
+  const double total = s1.seconds + s2.seconds + s3.seconds;
+  EXPECT_NEAR(batch_h->histogram.sum, total, 0.5 * total + 1e-6);
 
   // The store instrumented with its own registry reports its publishes.
   obs::MetricsRegistry store_reg;

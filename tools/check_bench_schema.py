@@ -29,7 +29,7 @@ MODE_FIELDS = {
         "staleness_mean_mods", "staleness_max_mods",
         "staleness_mean_versions", "staleness_max_versions",
         "queries_per_second", "churn_wall_seconds",
-        "reused_block_fraction", "incremental_publish_seconds",
+        "incremental_publish_seconds",
         "full_snapshot_build_seconds",
         # Zero-copy publish accounting (PR 5).
         "publish_model_bytes_copied", "publish_bytes_materialized",
@@ -39,10 +39,11 @@ MODE_FIELDS = {
         "max_observed_staleness_mods",
         "identical",
     },
+    # One row per (case, threads): every query is answered on the
+    # snapshot's one factor, so there is no per-route row.
     "standard": COMMON_FIELDS | {
         "snapshot_build_seconds", "wall_seconds", "queries_per_second",
-        "speedup", "identical", "cross_block_queries", "engine_answered",
-        "max_rel_vs_monolithic",
+        "speedup", "identical",
     },
     # Result-cache scenario (--churn --zipf S, PR 8).
     "zipf": COMMON_FIELDS | {
@@ -62,13 +63,12 @@ MODE_FIELDS = {
         "mods_submitted", "mods_applied",
         "identical",
     },
-    # Per-query QueryPolicy scenario (--policy-mix, PR 10): tier mix,
-    # hedged racing, and deadline accounting, plus per-tier latency
-    # percentiles from the er_policy_latency_seconds{tier=...} histograms.
+    # Per-query QueryPolicy scenario (--policy-mix): tier mix and
+    # deadline accounting, plus per-tier latency percentiles from the
+    # er_policy_latency_seconds{tier=...} histograms.
     "policy-mix": COMMON_FIELDS | {
         "queries_per_second",
         "served_exact", "served_approx", "served_fast",
-        "hedged_queries", "hedge_win_fraction_engine",
         "deadline_misses", "queue_wait_us_injected",
         "policy_latency_exact_p50_us", "policy_latency_exact_p95_us",
         "policy_latency_exact_p99_us",
@@ -123,11 +123,6 @@ def main() -> int:
                   f"zipf_s {row.get('zipf_s')}", file=sys.stderr)
             ok = False
         if mode == "policy-mix":
-            frac = row.get("hedge_win_fraction_engine")
-            if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
-                print(f"{path}[{i}]: hedge_win_fraction_engine {frac!r} "
-                      "outside [0, 1]", file=sys.stderr)
-                ok = False
             served = sum(row.get(k, 0) for k in
                          ("served_exact", "served_approx", "served_fast"))
             expected = row.get("queries", 0) - row.get("deadline_misses", 0)
