@@ -14,28 +14,18 @@ ExactEffRes::ExactEffRes(const Graph& g, Ordering ordering)
   factor_ = cholesky(lg, ordering);
 }
 
-real_t ExactEffRes::resistance_with(std::vector<real_t>& work, index_t p,
+real_t ExactEffRes::resistance_with(CholFactor::Workspace& ws, index_t p,
                                     index_t q) const {
   if (p < 0 || p >= n_ || q < 0 || q >= n_)
     throw std::out_of_range("ExactEffRes::resistance: node out of range");
-  if (p == q) return 0.0;
-  // Solve (in permuted space) L L^T x = e_p - e_q, then R = x_p - x_q.
-  std::fill(work.begin(), work.end(), 0.0);
-  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
-  work[static_cast<std::size_t>(pp)] = 1.0;
-  work[static_cast<std::size_t>(qq)] = -1.0;
-  factor_.solve_permuted(work);
-  return work[static_cast<std::size_t>(pp)] -
-         work[static_cast<std::size_t>(qq)];
+  return factor_.resistance(p, q, ws);
 }
 
 real_t ExactEffRes::resistance(index_t p, index_t q) const {
-  // Thread-safe without per-call allocation: each thread reuses one scratch
-  // vector across queries (resistance_with zero-fills it itself).
-  static thread_local std::vector<real_t> work;
-  work.resize(static_cast<std::size_t>(n_));
-  return resistance_with(work, p, q);
+  // Thread-safe without per-call allocation: each thread reuses one
+  // workspace across queries (the reach kernel leaves it all-zero).
+  static thread_local CholFactor::Workspace ws;
+  return resistance_with(ws, p, q);
 }
 
 void ExactEffRes::resistances_into(const std::vector<ResistanceQuery>& queries,
@@ -45,10 +35,10 @@ void ExactEffRes::resistances_into(const std::vector<ResistanceQuery>& queries,
     throw std::invalid_argument("resistances_into: output under-sized");
   parallel_for(pool, 0, static_cast<index_t>(queries.size()), kBatchQueryGrain,
                [&](index_t lo, index_t hi) {
-                 std::vector<real_t> work(static_cast<std::size_t>(n_), 0.0);
+                 CholFactor::Workspace ws;
                  for (index_t i = lo; i < hi; ++i) {
                    const auto& [p, q] = queries[static_cast<std::size_t>(i)];
-                   out[static_cast<std::size_t>(i)] = resistance_with(work, p, q);
+                   out[static_cast<std::size_t>(i)] = resistance_with(ws, p, q);
                  }
                });
 }

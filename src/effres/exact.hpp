@@ -1,6 +1,8 @@
 // Exact effective resistances via a complete sparse Cholesky factorization
 // of the grounded Laplacian (paper Eq. (3) with the §II-A grounding trick,
-// which is exact for balanced injections e_p - e_q).
+// which is exact for balanced injections e_p - e_q). Each query is
+// ||L^{-1} P (e_p - e_q)||^2, one forward solve over the elimination-tree
+// reach of p and q (CholFactor::resistance).
 #pragma once
 
 #include <memory>
@@ -16,9 +18,10 @@ class ExactEffRes final : public EffResEngine {
  public:
   explicit ExactEffRes(const Graph& g, Ordering ordering = Ordering::kMinDeg);
 
-  /// Thread-safe single query: the solve vector is a thread-local scratch,
-  /// so concurrent callers never share state and serial query loops don't
-  /// allocate per call.
+  /// Thread-safe single query: a forward-only reach solve on the factor
+  /// (CholFactor::resistance) with a thread-local workspace, so concurrent
+  /// callers never share state and serial query loops don't allocate per
+  /// call.
   [[nodiscard]] real_t resistance(index_t p, index_t q) const override;
 
   /// Batch override: each chunk solves with its own workspace, so queries
@@ -33,7 +36,7 @@ class ExactEffRes final : public EffResEngine {
   [[nodiscard]] const CholFactor& factor() const { return factor_; }
 
  private:
-  real_t resistance_with(std::vector<real_t>& work, index_t p,
+  real_t resistance_with(CholFactor::Workspace& ws, index_t p,
                          index_t q) const;
 
   index_t n_ = 0;

@@ -25,6 +25,7 @@ struct ServeMetrics {
   obs::Counter& batches;
   obs::Counter& queries;
   obs::Counter& invalid;
+  obs::Counter& reach_columns;
   obs::Histogram& query_latency;
   obs::Histogram& batch_seconds;
 };
@@ -35,6 +36,9 @@ ServeMetrics serve_metrics(obs::MetricsRegistry& reg) {
       reg.counter("er_serve_queries_total", {}, "Queries answered"),
       reg.counter("er_serve_invalid_queries_total", {},
                   "Queries with unmapped/eliminated endpoints (answer NaN)"),
+      reg.counter("er_serve_reach_columns_total", {},
+                  "Factor columns touched by query solves (elimination-tree "
+                  "reach); divide by er_serve_queries_total for the mean"),
       reg.histogram("er_query_latency_seconds", {},
                     "Per-query wall-clock latency (compute only; queue "
                     "wait is er_pool_task_queue_wait_seconds)"),
@@ -175,7 +179,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   const auto n = static_cast<index_t>(batch.size());
   std::vector<real_t> out(batch.size(), 0.0);
   std::atomic<std::size_t> invalid{0}, deadline_miss{0}, cache_hits{0},
-      cache_misses{0};
+      cache_misses{0}, reach_columns{0};
   std::atomic<std::size_t> served[3] = {{0}, {0}, {0}};
 
   // Resolve the snapshot version's cache scope once per batch. An
@@ -190,10 +194,11 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   // Chunked across the pool with one workspace per chunk; every write
   // lands in the query's own slot, so the batch is bit-identical at any
   // thread count. The route, backend, tier and hedge bits select nothing:
-  // every query is solved exactly on the snapshot's one factor.
+  // every query is solved exactly on the snapshot's one factor, by a
+  // forward-only solve over its elimination-tree reach.
   parallel_for(ctx.pool, 0, n, kBatchQueryGrain, [&](index_t lo, index_t hi) {
     ModelSnapshot::Workspace ws;
-    std::size_t inv = 0, missed_deadline = 0, hits = 0, missed = 0;
+    std::size_t inv = 0, missed_deadline = 0, hits = 0, missed = 0, reach = 0;
     std::size_t answered[3] = {0, 0, 0};
     for (index_t i = lo; i < hi; ++i) {
       const auto ui = static_cast<std::size_t>(i);
@@ -232,6 +237,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
         value = query.kind == QueryKind::kResponse
                     ? snap.response(p, q, ws)
                     : snap.resistance(p, q, ws);
+        reach += ws.reach.size();
         if (scope) {
           ++missed;
           cache->insert(*scope, query.kind, query.p, query.q, value);
@@ -248,6 +254,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
     deadline_miss += missed_deadline;
     cache_hits += hits;
     cache_misses += missed;
+    reach_columns += reach;
     for (int t = 0; t < 3; ++t) served[t] += answered[t];
   });
 
@@ -255,6 +262,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   metrics.batches.add(1);
   metrics.queries.add(batch.size());
   metrics.invalid.add(invalid.load());
+  metrics.reach_columns.add(reach_columns.load());
   metrics.batch_seconds.record(batch_seconds);
   for (int t = 0; t < 3; ++t) policy.served[t]->add(served[t].load());
   policy.deadline_miss.add(deadline_miss.load());
@@ -265,6 +273,7 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
     stats->cache_hits = cache_hits.load();
     stats->cache_misses = cache_misses.load();
     stats->deadline_miss = deadline_miss.load();
+    stats->reach_columns = reach_columns.load();
     stats->snapshot_version = snap.version();
     stats->seconds = batch_seconds;
   }

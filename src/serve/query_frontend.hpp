@@ -70,6 +70,10 @@ struct BatchStats {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t deadline_miss = 0;  ///< expired before evaluation (NaN)
+  /// Factor columns the batch's solves touched: the sum of each solved
+  /// query's elimination-tree reach (cache hits and NaN answers add 0).
+  /// reach_columns / queries is the mean reach per query.
+  std::size_t reach_columns = 0;
   std::uint64_t snapshot_version = 0;
   double seconds = 0.0;
 };

@@ -52,24 +52,11 @@ index_t ModelSnapshot::reduced_id(index_t original) const {
 }
 
 real_t ModelSnapshot::response(index_t p, index_t q, Workspace& ws) const {
-  ws.rhs.assign(static_cast<std::size_t>(factor_.n), 0.0);
-  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
-  ws.rhs[static_cast<std::size_t>(pp)] = 1.0;
-  factor_.solve_permuted(ws.rhs);
-  return ws.rhs[static_cast<std::size_t>(qq)];
+  return factor_.inverse_entry(p, q, ws);
 }
 
 real_t ModelSnapshot::resistance(index_t p, index_t q, Workspace& ws) const {
-  if (p == q) return 0.0;
-  ws.rhs.assign(static_cast<std::size_t>(factor_.n), 0.0);
-  const index_t pp = factor_.inv_perm[static_cast<std::size_t>(p)];
-  const index_t qq = factor_.inv_perm[static_cast<std::size_t>(q)];
-  ws.rhs[static_cast<std::size_t>(pp)] = 1.0;
-  ws.rhs[static_cast<std::size_t>(qq)] = -1.0;
-  factor_.solve_permuted(ws.rhs);
-  return ws.rhs[static_cast<std::size_t>(pp)] -
-         ws.rhs[static_cast<std::size_t>(qq)];
+  return factor_.resistance(p, q, ws);
 }
 
 }  // namespace er

@@ -4,9 +4,10 @@
 /// A ModelSnapshot is built once from a stitched reduced model and then
 /// never mutated: it pins the model and holds one Cholesky factor of the
 /// stitched system G = L(reduced graph) + diag(shunts). Every query —
-/// whatever route, backend, tier or hedge bit it names — is one sparse
-/// right-hand side solved on that factor, so any number of concurrent
-/// query threads share read-only state.
+/// whatever route, backend, tier or hedge bit it names — is one
+/// forward-only solve over the elimination-tree reach of its two nodes on
+/// that factor, so any number of concurrent query threads share read-only
+/// state.
 ///
 /// The stitched model follows the zero-copy rule: the snapshot aliases the
 /// producer's frozen ModelPtr version rather than owning a copy —
@@ -67,11 +68,11 @@ struct ServingOptions {
 /// Workspace so concurrent callers never share mutable state.
 class ModelSnapshot {
  public:
-  /// Per-caller scratch for the solves. Reuse one instance across the
-  /// queries of a chunk; never share one across threads.
-  struct Workspace {
-    std::vector<real_t> rhs;  ///< right-hand side, solved in place
-  };
+  /// Per-caller scratch for the reach solves (CholFactor::Workspace). Reuse
+  /// one instance across the queries of a chunk; never share one across
+  /// threads. After a query, reach.size() is the number of factor columns
+  /// it touched.
+  using Workspace = CholFactor::Workspace;
 
   /// Build a snapshot that *aliases* a frozen stitched model version: the
   /// zero-copy path — no model bytes are copied, the snapshot just pins

@@ -1,9 +1,13 @@
 // Tests for chol: complete factorization vs dense reference, solve accuracy,
 // incomplete Cholesky (droptol behaviour, M-matrix robustness, shift
-// fallback), triangular solves, factor invariants.
+// fallback), triangular solves, factor invariants, and the
+// elimination-tree-reach kernels (inverse_entry / resistance) against full
+// solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "chol/cholesky.hpp"
 #include "chol/ichol.hpp"
@@ -227,6 +231,168 @@ TEST_P(CholOrderingSweep, SolveAccuracyAcrossGraphFamilies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrderings, CholOrderingSweep,
+                         ::testing::Values(Ordering::kNatural, Ordering::kRcm,
+                                           Ordering::kMinDeg));
+
+// --- Elimination-tree-reach kernels -------------------------------------
+
+std::vector<real_t> unit(index_t n, index_t i, real_t v = 1.0) {
+  std::vector<real_t> e(static_cast<std::size_t>(n), 0.0);
+  e[static_cast<std::size_t>(i)] = v;
+  return e;
+}
+
+/// (A^{-1})_{pq} and (e_p - e_q)^T A^{-1} (e_p - e_q) by full solves.
+real_t full_inverse_entry(const CholFactor& f, index_t p, index_t q) {
+  return f.solve(unit(f.n, q))[static_cast<std::size_t>(p)];
+}
+
+real_t full_resistance(const CholFactor& f, index_t p, index_t q) {
+  std::vector<real_t> b = unit(f.n, p);
+  b[static_cast<std::size_t>(q)] -= 1.0;
+  const std::vector<real_t> x = f.solve(b);
+  return x[static_cast<std::size_t>(p)] - x[static_cast<std::size_t>(q)];
+}
+
+real_t rel_diff(real_t got, real_t want) {
+  return std::abs(got - want) / std::max(std::abs(want), 1e-300);
+}
+
+/// Columns on the elimination-tree path from permuted column j to its root.
+std::vector<index_t> etree_path(const CholFactor& f, index_t j) {
+  std::vector<index_t> path;
+  for (; j >= 0; j = f.etree_parent(j)) path.push_back(j);
+  return path;
+}
+
+/// The reach the kernels must leave in ws.reach for original nodes p, q:
+/// the union of both etree paths, ascending.
+std::vector<index_t> expected_reach(const CholFactor& f, index_t p, index_t q) {
+  std::set<index_t> reach;
+  for (index_t node : {p, q})
+    for (index_t j :
+         etree_path(f, f.inv_perm[static_cast<std::size_t>(node)]))
+      reach.insert(j);
+  return {reach.begin(), reach.end()};
+}
+
+bool all_zero(const std::vector<real_t>& v) {
+  return std::all_of(v.begin(), v.end(), [](real_t x) { return x == 0.0; });
+}
+
+/// Two grids with no edge between them: grounded_laplacian puts one shunt
+/// in each component, so the etree is a two-tree forest.
+CscMatrix two_component_sdd() {
+  const Graph a = grid_2d(5, 4, WeightKind::kUniform, 41);
+  const Graph b = grid_2d(4, 6, WeightKind::kUniform, 42);
+  Graph g(a.num_nodes() + b.num_nodes());
+  for (const auto& e : a.edges()) g.add_edge(e.u, e.v, e.weight);
+  for (const auto& e : b.edges())
+    g.add_edge(e.u + a.num_nodes(), e.v + a.num_nodes(), e.weight);
+  return grounded_laplacian(g);
+}
+
+class CholReach : public ::testing::TestWithParam<Ordering> {};
+
+TEST_P(CholReach, EveryPairMatchesFullSolve) {
+  const CholFactor f = cholesky(random_sdd(40, 100, 31), GetParam());
+  CholFactor::Workspace ws;
+  for (index_t p = 0; p < f.n; ++p)
+    for (index_t q = 0; q < f.n; ++q) {
+      EXPECT_LT(rel_diff(f.inverse_entry(p, q, ws), full_inverse_entry(f, p, q)),
+                1e-12)
+          << p << "," << q;
+      EXPECT_EQ(ws.reach, expected_reach(f, p, q));
+      if (p == q) {
+        EXPECT_EQ(f.resistance(p, q, ws), 0.0);
+        continue;
+      }
+      EXPECT_LT(rel_diff(f.resistance(p, q, ws), full_resistance(f, p, q)),
+                1e-12)
+          << p << "," << q;
+      EXPECT_EQ(ws.reach, expected_reach(f, p, q));
+    }
+}
+
+TEST_P(CholReach, AncestorPairWalksOnePath) {
+  const CholFactor f = cholesky(random_sdd(60, 150, 32), GetParam());
+  CholFactor::Workspace ws;
+  for (index_t qq = 0; qq < f.n; qq += 7) {
+    const std::vector<index_t> path = etree_path(f, qq);
+    const index_t q = f.perm[static_cast<std::size_t>(qq)];
+    for (std::size_t k = 1; k < path.size(); k += 3) {
+      const index_t p = f.perm[static_cast<std::size_t>(path[k])];
+      EXPECT_LT(rel_diff(f.inverse_entry(p, q, ws), full_inverse_entry(f, p, q)),
+                1e-12);
+      EXPECT_EQ(ws.reach, path);  // p's path is the tail of q's
+      EXPECT_LT(rel_diff(f.resistance(p, q, ws), full_resistance(f, p, q)),
+                1e-12);
+      EXPECT_EQ(ws.reach, path);
+    }
+  }
+}
+
+TEST_P(CholReach, CrossComponentPairsNeverMeet) {
+  const CholFactor f = cholesky(two_component_sdd(), GetParam());
+  const index_t first_b = 20;  // nodes [0, 20) and [20, 44)
+  CholFactor::Workspace ws;
+  for (index_t p = 0; p < first_b; p += 3)
+    for (index_t q = first_b; q < f.n; q += 5) {
+      EXPECT_EQ(f.inverse_entry(p, q, ws), 0.0);
+      const std::size_t reach_p =
+          etree_path(f, f.inv_perm[static_cast<std::size_t>(p)]).size();
+      const std::size_t reach_q =
+          etree_path(f, f.inv_perm[static_cast<std::size_t>(q)]).size();
+      EXPECT_EQ(ws.reach.size(), reach_p + reach_q);  // disjoint paths
+      EXPECT_EQ(ws.reach, expected_reach(f, p, q));
+      const real_t want =
+          full_inverse_entry(f, p, p) + full_inverse_entry(f, q, q);
+      EXPECT_LT(rel_diff(f.resistance(p, q, ws), want), 1e-12);
+      EXPECT_LT(rel_diff(f.resistance(p, q, ws), full_resistance(f, p, q)),
+                1e-12);
+    }
+  // Within one component the answers stay the ordinary ones.
+  EXPECT_LT(rel_diff(f.inverse_entry(1, 7, ws), full_inverse_entry(f, 1, 7)),
+            1e-12);
+  EXPECT_LT(rel_diff(f.resistance(25, 40, ws), full_resistance(f, 25, 40)),
+            1e-12);
+}
+
+TEST_P(CholReach, ResponseIsBitwiseSymmetric) {
+  const CholFactor f = cholesky(random_sdd(50, 130, 33), GetParam());
+  CholFactor::Workspace ws;
+  for (index_t p = 0; p < f.n; ++p)
+    for (index_t q = p + 1; q < f.n; ++q) {
+      const real_t pq = f.inverse_entry(p, q, ws);
+      const real_t qp = f.inverse_entry(q, p, ws);
+      EXPECT_EQ(pq, qp) << p << "," << q;
+      EXPECT_EQ(f.resistance(p, q, ws), f.resistance(q, p, ws));
+    }
+}
+
+TEST_P(CholReach, WorkspaceIsAllZeroAfterEveryCall) {
+  // One workspace reused across factors of different sizes and both
+  // kernels must answer bitwise like a fresh workspace every time.
+  const CholFactor big = cholesky(random_sdd(45, 120, 34), GetParam());
+  const CholFactor small = cholesky(random_sdd(12, 25, 35), GetParam());
+  CholFactor::Workspace reused;
+  Rng rng(36);
+  for (int i = 0; i < 300; ++i) {
+    const CholFactor& f = (i % 3 == 2) ? small : big;
+    const auto p = rng.uniform_int(f.n);
+    const auto q = rng.uniform_int(f.n);
+    CholFactor::Workspace fresh;
+    if (i % 2 == 0) {
+      EXPECT_EQ(f.inverse_entry(p, q, reused), f.inverse_entry(p, q, fresh));
+    } else {
+      EXPECT_EQ(f.resistance(p, q, reused), f.resistance(p, q, fresh));
+    }
+    EXPECT_TRUE(all_zero(reused.y0)) << "call " << i;
+    EXPECT_TRUE(all_zero(reused.y1)) << "call " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOrderings, CholReach,
                          ::testing::Values(Ordering::kNatural, Ordering::kRcm,
                                            Ordering::kMinDeg));
 

@@ -129,10 +129,10 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   const index_t valid = kept_originals(*art.model).front();
 
   const std::vector<PortQuery> batch{
-      {QueryKind::kResistance, eliminated, valid},
-      {QueryKind::kResponse, valid, eliminated},
-      {QueryKind::kResistance, -5, valid},
-      {QueryKind::kResistance, valid, valid},
+      {QueryKind::kResistance, eliminated, valid, QueryPolicy{}},
+      {QueryKind::kResponse, valid, eliminated, QueryPolicy{}},
+      {QueryKind::kResistance, -5, valid, QueryPolicy{}},
+      {QueryKind::kResistance, valid, valid, QueryPolicy{}},
   };
   BatchStats stats;
   const auto out = QueryFrontEnd::answer_on(
@@ -373,6 +373,23 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
             s1.queries + s2.queries + s3.queries);
   EXPECT_EQ(counter("er_serve_invalid_queries_total"),
             s1.invalid + s2.invalid + s3.invalid);
+  EXPECT_EQ(counter("er_serve_reach_columns_total"),
+            s1.reach_columns + s2.reach_columns + s3.reach_columns);
+
+  // reach_columns is the sum of each solved query's elimination-tree reach.
+  const SnapshotPtr pinned = store.acquire();
+  ModelSnapshot::Workspace ws;
+  std::size_t reach = 0;
+  for (const PortQuery& q : mixed_batch(kept, 150, 5)) {
+    const index_t p = pinned->reduced_id(q.p);
+    const index_t r = pinned->reduced_id(q.q);
+    if (p < 0 || r < 0) continue;
+    (void)(q.kind == QueryKind::kResponse ? pinned->response(p, r, ws)
+                                          : pinned->resistance(p, r, ws));
+    reach += ws.reach.size();
+  }
+  EXPECT_EQ(s1.reach_columns, reach);
+  EXPECT_GT(s1.reach_columns, 0u);
 
   // Every query records exactly one latency sample; every batch exactly
   // one batch-duration sample whose total tracks BatchStats::seconds.

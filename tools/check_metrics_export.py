@@ -37,6 +37,10 @@ REQUIRED = [
     ("er_store_publishes_total", "counter"),
     ("er_reducer_publish_seconds", "histogram"),
     ("er_span_seconds", "histogram"),
+    # Query solves (serve/query_frontend.cpp): mean reach per query is
+    # er_serve_reach_columns_total / er_serve_queries_total.
+    ("er_serve_queries_total", "counter"),
+    ("er_serve_reach_columns_total", "counter"),
     # Result cache (serve/result_cache.hpp): families register eagerly at
     # cache construction, so they export even before the first lookup.
     ("er_cache_hits_total", "counter"),
